@@ -50,17 +50,19 @@ _METRICS_COLUMNS = [
 ]
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text) -> list[float]:
+    """Comma-separated numbers; a config file may give a JSON list instead."""
+    tokens = text if isinstance(text, list) else str(text).split(",")
     try:
-        values = [float(tok) for tok in str(text).split(",") if tok != ""]
-    except ValueError:
+        values = [float(tok) for tok in tokens if tok != ""]
+    except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     parser = argparse.ArgumentParser(
         prog="pairscreen",
         description="Two-stage pairwise-interaction testing with FDR control.",
@@ -102,11 +104,15 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--active-limit", type=int, help="candidate-set size for active mains")
     ps.add_argument("--workers", type=int, help="parallel workers over replicates")
     ps.add_argument("--out", type=str, help="output metrics CSV path")
-    return parser
+    return parser, {"analyze": pa, "simulate": ps}
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset options from the JSON config file, if one was given."""
+def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser):
+    """Fill unset options from the JSON config file, if one was given.
+
+    Each value goes through its option's ``type`` and ``choices``, as the
+    flag's text would; a value that fails them is an InvalidConfig.
+    """
     if not getattr(args, "config", None):
         return args
     path = Path(args.config)
@@ -119,14 +125,22 @@ def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
         raise InvalidConfig(f"config file {path}: {exc}") from None
     if not isinstance(values, dict):
         raise InvalidConfig(f"config file {path} must hold a JSON object")
+    actions = {action.dest: action for action in command._actions if action.dest != "help"}
     for key, value in values.items():
-        dest = key.replace("-", "_")
-        if not hasattr(args, dest):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise InvalidConfig(f"config file {path}: unknown option {key!r}")
-        if getattr(args, dest) is None:
-            if dest in ("b", "alpha1") and args.command == "simulate":
-                value = [float(v) for v in value] if isinstance(value, list) else _float_list(value)
-            setattr(args, dest, value)
+        try:
+            if action.nargs == 0 and not isinstance(value, bool):  # store_true flag
+                raise ValueError(f"expected true or false, got {value!r}")
+            if action.type is not None:
+                value = action.type(value if isinstance(value, list) else str(value))
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"expected one of {', '.join(action.choices)}, got {value!r}")
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise InvalidConfig(f"config file {path}: option {key!r}: {exc}") from None
+        if getattr(args, action.dest) is None:
+            setattr(args, action.dest, value)
     return args
 
 
@@ -238,10 +252,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, commands[args.command])
         if args.command == "analyze":
             return _cmd_analyze(args)
         return _cmd_simulate(args)

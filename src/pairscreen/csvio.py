@@ -35,19 +35,17 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]  # blank lines skipped
     if not rows:
         raise EmptyInput(f"{path}: file is empty")
-    header = tuple(label.strip() for label in rows[0])
+    header = tuple(label.strip() for label in rows[0][1])
     if len(rows) == 1:
         raise EmptyInput(f"{path}: header only, no data rows")
     width = len(header)
     data = np.empty((len(rows) - 1, width))
-    for i, row in enumerate(rows[1:], start=2):
+    for r, (i, row) in enumerate(rows[1:]):
         if len(row) != width:
-            raise ParseError(
-                f"{path}: line {i} has {len(row)} cells, expected {width}", line=i
-            )
+            raise ParseError(f"{path}: line {i} has {len(row)} cells, expected {width}", line=i)
         for j, cell in enumerate(row):
             try:
                 value = float(cell)
@@ -63,7 +61,7 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
                     line=i,
                     col=j + 1,
                 )
-            data[i - 2, j] = value
+            data[r, j] = value
     return data, header
 
 

@@ -13,6 +13,7 @@ squared residuals, so it cancels from every Wald statistic.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,88 +45,58 @@ _MAX_ITER = 100
 _MAX_HALVINGS = 30
 
 
+@dataclass(frozen=True)
 class Family:
-    """Canonical-link exponential-family pieces b, b', b''."""
+    """Canonical-link exponential-family pieces b, b', b''.
 
-    name: str = ""
+    ``variance_from_mean`` gives b'' in terms of the mean; ``binary``
+    restricts responses to {0, 1}.  The two instances GAUSSIAN and LOGISTIC
+    are the only families, so code tests them by identity.
+    """
 
-    @staticmethod
-    def cumulant(theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+    name: str
+    short_name: str
+    cumulant: Callable[[np.ndarray], np.ndarray]
+    mean: Callable[[np.ndarray], np.ndarray]
+    variance_from_mean: Callable[[np.ndarray], np.ndarray]
+    binary: bool
 
-    @staticmethod
-    def mean(theta: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @staticmethod
-    def variance_from_mean(mu: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    @classmethod
-    def variance(cls, theta: np.ndarray) -> np.ndarray:
-        return cls.variance_from_mean(cls.mean(theta))
+    def variance(self, theta: np.ndarray) -> np.ndarray:
+        return self.variance_from_mean(self.mean(theta))
 
     def validate_response(self, y: np.ndarray) -> None:
-        pass
+        if self.binary and not np.isin(y, (0.0, 1.0)).all():
+            raise ValueError(f"{self.name} requires responses in {{0, 1}}")
 
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"Family({self.name})"
-
-
-class _GaussianIdentity(Family):
-    name = "gaussian_identity"
-
-    @staticmethod
-    def cumulant(theta):
-        return 0.5 * theta * theta
-
-    @staticmethod
-    def mean(theta):
-        return theta
-
-    @staticmethod
-    def variance_from_mean(mu):
-        return np.ones_like(mu)
+    def __reduce__(self):
+        # unpickle to the same instance, so identity tests keep working
+        return family_from_name, (self.name,)
 
 
-class _BernoulliLogit(Family):
-    name = "bernoulli_logit"
-
-    @staticmethod
-    def cumulant(theta):
-        # log(1 + e^theta), overflow-safe
-        return np.logaddexp(0.0, theta)
-
-    @staticmethod
-    def mean(theta):
-        # sigmoid(x) = (1 + tanh(x/2)) / 2: saturates cleanly at both ends
-        return 0.5 * (1.0 + np.tanh(0.5 * theta))
-
-    @staticmethod
-    def variance_from_mean(mu):
-        return mu * (1.0 - mu)
-
-    def validate_response(self, y):
-        if not np.isin(y, (0.0, 1.0)).all():
-            raise ValueError("bernoulli_logit requires responses in {0, 1}")
-
-
-GAUSSIAN: Family = _GaussianIdentity()
-LOGISTIC: Family = _BernoulliLogit()
-
-_FAMILIES = {
-    "gaussian_identity": GAUSSIAN,
-    "gaussian": GAUSSIAN,
-    "bernoulli_logit": LOGISTIC,
-    "logistic": LOGISTIC,
-}
+GAUSSIAN = Family(
+    name="gaussian_identity",
+    short_name="gaussian",
+    cumulant=lambda theta: 0.5 * theta * theta,
+    mean=lambda theta: theta,
+    variance_from_mean=np.ones_like,
+    binary=False,
+)
+LOGISTIC = Family(
+    name="bernoulli_logit",
+    short_name="logistic",
+    cumulant=lambda theta: np.logaddexp(0.0, theta),  # log(1 + e^theta), overflow-safe
+    # sigmoid(x) = (1 + tanh(x/2)) / 2: saturates cleanly at both ends
+    mean=lambda theta: 0.5 * (1.0 + np.tanh(0.5 * theta)),
+    variance_from_mean=lambda mu: mu * (1.0 - mu),
+    binary=True,
+)
 
 
 def family_from_name(name: str) -> Family:
-    try:
-        return _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}; expected gaussian or logistic") from None
+    for family in (GAUSSIAN, LOGISTIC):
+        if name in (family.name, family.short_name):
+            return family
+    raise ValueError(f"unknown family {name!r}; expected gaussian or logistic")
 
 
 @dataclass(frozen=True)
@@ -190,13 +161,28 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def build_stage1_design(x_col) -> DesignMatrix:
-    """Design (1, x) for the marginal main-effect model."""
+def _design(cols: list, labels: list, adjust) -> DesignMatrix:
+    """Stack the columns, then append ``adjust`` (n or n x q) as adjust1..q."""
+    if adjust is not None:
+        n = cols[0].size
+        adj = np.asarray(adjust, dtype=float)
+        if adj.ndim == 1:
+            adj = adj[:, None]
+        if adj.shape[0] != n:
+            raise ValueError(f"adjust rows {adj.shape[0]} do not match n={n}")
+        if not np.isfinite(adj).all():
+            raise ValueError("adjust entries must be finite")
+        cols = cols + list(adj.T)
+        labels = labels + [f"adjust{q + 1}" for q in range(adj.shape[1])]
+    return DesignMatrix(np.column_stack(cols), tuple(labels))
+
+
+def build_stage1_design(x_col, adjust=None) -> DesignMatrix:
+    """Design (1, x, adjust...) for the marginal main-effect model."""
     x = _as_vector(x_col, "x_col")
     if x.size < 2:
         raise ValueError("stage-1 design needs at least 2 observations")
-    values = np.column_stack((np.ones(x.size), x))
-    return DesignMatrix(values, ("intercept", "x"))
+    return _design([np.ones(x.size), x], ["intercept", "x"], adjust)
 
 
 def build_stage2_design(x_j, x_k, adjust=None) -> DesignMatrix:
@@ -205,20 +191,9 @@ def build_stage2_design(x_j, x_k, adjust=None) -> DesignMatrix:
     xk = _as_vector(x_k, "x_k")
     if xj.size != xk.size:
         raise ValueError(f"length mismatch: {xj.size} vs {xk.size}")
-    cols = [np.ones(xj.size), xj, xk, xj * xk]
-    labels = ["intercept", "x_j", "x_k", "x_j:x_k"]
-    if adjust is not None:
-        adj = np.asarray(adjust, dtype=float)
-        if adj.ndim == 1:
-            adj = adj[:, None]
-        if adj.shape[0] != xj.size:
-            raise ValueError(f"adjust rows {adj.shape[0]} do not match n={xj.size}")
-        if not np.isfinite(adj).all():
-            raise ValueError("adjust entries must be finite")
-        for q in range(adj.shape[1]):
-            cols.append(adj[:, q])
-            labels.append(f"adjust{q + 1}")
-    return DesignMatrix(np.column_stack(cols), tuple(labels))
+    return _design(
+        [np.ones(xj.size), xj, xk, xj * xk], ["intercept", "x_j", "x_k", "x_j:x_k"], adjust
+    )
 
 
 def _check_rank(values: np.ndarray) -> None:
@@ -265,7 +240,7 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
     family.validate_response(yv)
     _check_rank(X)
 
-    if family is GAUSSIAN or isinstance(family, _GaussianIdentity):
+    if family is GAUSSIAN:
         gram = X.T @ X
         beta = _chol_solve(gram, X.T @ yv)
         score = X.T @ (yv - X @ beta) / n

@@ -20,9 +20,6 @@ __all__ = [
     "mean_and_se",
 ]
 
-PairSet = set
-
-
 @dataclass(frozen=True)
 class ReplicateMetrics:
     """Per-replicate outcome row; ``power`` is None when H1 was empty."""

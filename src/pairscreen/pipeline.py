@@ -30,13 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllFitsFailed, DegenerateVariance, Separation, SingularDesign
-from .glm import (
-    Family,
-    build_stage1_design,
-    build_stage2_design,
-    fit_glm,
-    wald_statistic,
-)
+from .glm import Family, build_stage1_design, build_stage2_design, fit_glm, wald_statistic
 from .metrics import efficiency_omega
 from .normal import gauss_tail_inverse, gauss_two_sided_tail
 
@@ -158,27 +152,40 @@ def alpha_from_rate(alpha1: float, p: int) -> float:
     return math.sqrt(alpha1 * math.log(p))
 
 
-def _marginal_stat(data: Dataset, j: int, adjust_in_stage1: bool) -> float:
-    if adjust_in_stage1 and data.adjust is not None:
-        design = _stage1_with_adjust(data.x[:, j], data.adjust)
-    else:
-        design = build_stage1_design(data.x[:, j])
-    fit = fit_glm(design, data.y, data.family)
-    if not fit.converged:
-        raise _NotConvergedMarker()
-    return wald_statistic(fit, 1).value
+def _fit_outcome(design, y, family: Family, coef_index: int) -> tuple[float | None, str | None]:
+    """Fit the working GLM and return ``(T, None)`` for coefficient
+    ``coef_index``, or ``(None, code)`` when the fit failed or did not converge."""
+    try:
+        fit = fit_glm(design, y, family)
+        if not fit.converged:
+            return None, "NOT_CONVERGED"
+        return wald_statistic(fit, coef_index).value, None
+    except (SingularDesign, Separation, DegenerateVariance) as exc:
+        return None, exc.code
 
 
-class _NotConvergedMarker(Exception):
-    pass
+_WORKER_TASK: tuple = ()  # (func, shared), set in each forked worker
 
 
-def _stage1_with_adjust(x_col: np.ndarray, adjust: np.ndarray):
-    from .glm import DesignMatrix
+def _init_worker(func, shared) -> None:
+    global _WORKER_TASK
+    _WORKER_TASK = (func, shared)
 
-    cols = [np.ones(x_col.size), x_col] + [adjust[:, q] for q in range(adjust.shape[1])]
-    labels = ["intercept", "x"] + [f"adjust{q + 1}" for q in range(adjust.shape[1])]
-    return DesignMatrix(np.column_stack(cols), tuple(labels))
+
+def _run_task(item):
+    func, shared = _WORKER_TASK
+    return func(*shared, item)
+
+
+def _map_items(func, shared: tuple, items, workers: int) -> list:
+    """``[func(*shared, item) for item in items]``, in order.  With ``workers > 1``
+    the items go to a fork pool; ``shared`` reaches the workers unpickled."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [func(*shared, item) for item in items]
+    ctx = multiprocessing.get_context("fork")
+    with ctx.Pool(processes=workers, initializer=_init_worker, initargs=(func, shared)) as pool:
+        return pool.map(_run_task, items)
 
 
 def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -> ScreenResult:
@@ -190,51 +197,26 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     if alpha < 0:
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     p = data.p
+    adjust = data.adjust if adjust_in_stage1 else None
     t_stats = np.full(p, np.nan)
     failed: dict[int, str] = {}
     for j in range(p):
-        try:
-            t_stats[j] = _marginal_stat(data, j, adjust_in_stage1)
-        except (SingularDesign, Separation, DegenerateVariance) as exc:
-            failed[j] = exc.code
-        except _NotConvergedMarker:
-            failed[j] = "NOT_CONVERGED"
+        design = build_stage1_design(data.x[:, j], adjust)
+        stat, code = _fit_outcome(design, data.y, data.family, 1)
+        if code is None:
+            t_stats[j] = stat
+        else:
+            failed[j] = code
     if len(failed) == p:
         raise AllFitsFailed("every stage-1 marginal fit failed")
     passing = tuple(j for j in range(p) if j not in failed and abs(t_stats[j]) >= alpha)
     return ScreenResult(t_stats=t_stats, alpha=float(alpha), passing=passing, failed=failed)
 
 
-def _test_one_pair(x, y, family, adjust, j, k):
-    try:
-        design = build_stage2_design(x[:, j], x[:, k], adjust)
-        fit = fit_glm(design, y, family)
-        if not fit.converged:
-            return (j, k, None, "NOT_CONVERGED")
-        stat = wald_statistic(fit, INTERACTION_INDEX).value
-        return (j, k, stat, None)
-    except (SingularDesign, Separation, DegenerateVariance) as exc:
-        return (j, k, None, exc.code)
-
-
-_POOL_STATE: dict = {}
-
-
-def _init_pair_pool(x, y, family_name, adjust):
-    from .glm import family_from_name
-
-    _POOL_STATE["x"] = x
-    _POOL_STATE["y"] = y
-    _POOL_STATE["family"] = family_from_name(family_name)
-    _POOL_STATE["adjust"] = adjust
-
-
-def _pair_chunk(chunk):
-    x = _POOL_STATE["x"]
-    y = _POOL_STATE["y"]
-    family = _POOL_STATE["family"]
-    adjust = _POOL_STATE["adjust"]
-    return [_test_one_pair(x, y, family, adjust, j, k) for j, k in chunk]
+def _test_one_pair(x, y, family, adjust, pair):
+    j, k = pair
+    design = build_stage2_design(x[:, j], x[:, k], adjust)
+    return _fit_outcome(design, y, family, INTERACTION_INDEX)
 
 
 def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairTestResult:
@@ -246,26 +228,10 @@ def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairT
     """
     idx = screen.passing
     pair_list = [(j, k) for a, j in enumerate(idx) for k in idx[a + 1 :]]
-    if not pair_list:
-        return PairTestResult(pairs=(), skipped=())
-
-    if workers > 1 and len(pair_list) > workers:
-        chunk_size = max(1, len(pair_list) // (workers * 4))
-        chunks = [pair_list[i : i + chunk_size] for i in range(0, len(pair_list), chunk_size)]
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=workers,
-            initializer=_init_pair_pool,
-            initargs=(data.x, data.y, data.family.name, data.adjust),
-        ) as pool:
-            results = [r for chunk_out in pool.map(_pair_chunk, chunks) for r in chunk_out]
-    else:
-        results = [
-            _test_one_pair(data.x, data.y, data.family, data.adjust, j, k) for j, k in pair_list
-        ]
-
-    pairs = tuple((j, k, stat) for j, k, stat, reason in results if reason is None)
-    skipped = tuple((j, k, reason) for j, k, _, reason in results if reason is not None)
+    shared = (data.x, data.y, data.family, data.adjust)
+    results = list(zip(pair_list, _map_items(_test_one_pair, shared, pair_list, workers)))
+    pairs = tuple((j, k, stat) for (j, k), (stat, code) in results if code is None)
+    skipped = tuple((j, k, code) for (j, k), (_, code) in results if code is not None)
     return PairTestResult(pairs=pairs, skipped=skipped)
 
 

@@ -26,15 +26,16 @@ scheduling and of the order in which pairs are evaluated.
 from __future__ import annotations
 
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateVariance, PairscreenError, Separation, SingularDesign
-from .glm import build_stage2_design, family_from_name, fit_glm, wald_statistic
-from .metrics import ReplicateMetrics, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import INTERACTION_INDEX, Dataset, alpha_from_rate, fdr_cutoff, stage1_screen
+from .errors import PairscreenError
+from .glm import GAUSSIAN, build_stage2_design, family_from_name
+from .glm import fit_glm, wald_statistic  # noqa: F401  (benchmark trace hooks patch them here)
+from .metrics import ReplicateMetrics, efficiency_omega, empirical_fdp, empirical_power, mean_and_se
+from .pipeline import INTERACTION_INDEX, Dataset, _fit_outcome, _map_items, alpha_from_rate
+from .pipeline import fdr_cutoff, stage1_screen
 
 __all__ = [
     "SimConfig",
@@ -93,7 +94,7 @@ class SimConfig:
     def intercept(self) -> float:
         if self.beta0 is not None:
             return self.beta0
-        return -2.0 if family_from_name(self.family).name == "bernoulli_logit" else -1.0
+        return -1.0 if family_from_name(self.family) is GAUSSIAN else -2.0
 
     @property
     def candidate_pool(self) -> int:
@@ -196,7 +197,7 @@ def gen_truth(config: SimConfig) -> SimTruth:
 
 
 def _draw_response(theta: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    if family_from_name(config.family).name == "gaussian_identity":
+    if family_from_name(config.family) is GAUSSIAN:
         return theta + config.noise_sd * rng.standard_normal(theta.size)
     clipped = np.clip(theta, -_LOGIT_CLAMP, _LOGIT_CLAMP)
     prob = 1.0 / (1.0 + np.exp(-clipped))
@@ -269,16 +270,6 @@ class AggregateRow:
     rejections_mean: float
 
 
-def _pair_stat(design, y, family, j, k):
-    try:
-        fit = fit_glm(build_stage2_design(design[:, j], design[:, k]), y, family)
-        if not fit.converged:
-            return None
-        return wald_statistic(fit, INTERACTION_INDEX).value
-    except (SingularDesign, Separation, DegenerateVariance):
-        return None
-
-
 def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> list[ReplicateRow]:
     cfg = replace(config, seed=config.seed + rep)
     family = family_from_name(cfg.family)
@@ -295,26 +286,22 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
             for a1 in alpha1_list
         ]
 
-    # Pair statistics are alpha1-independent; evaluate once over the widest
-    # surviving set (smallest alpha1) and subset per alpha1 afterwards.
+    # Pair statistics do not depend on alpha1 (each pair response has its
+    # own substream), so a pair tested at one alpha1 is reused at the others.
     stat_cache: dict[tuple[int, int], float | None] = {}
-    for alpha1 in sorted(alpha1_list):
-        alpha = alpha_from_rate(alpha1, cfg.p)
-        passing = [j for j in screen.passing if abs(screen.t_stats[j]) >= alpha]
-        for a, j in enumerate(passing):
-            for k in passing[a + 1 :]:
-                if (j, k) not in stat_cache:
-                    y_jk = gen_pair_response(design, truth, cfg, j, k)
-                    stat_cache[(j, k)] = _pair_stat(design, y_jk, family, j, k)
-
     for alpha1 in alpha1_list:
         alpha = alpha_from_rate(alpha1, cfg.p)
         passing = [j for j in screen.passing if abs(screen.t_stats[j]) >= alpha]
         p1 = len(passing)
         m_tested = p1 * (p1 - 1) // 2
-        tested = [
-            (j, k, stat_cache[(j, k)]) for a, j in enumerate(passing) for k in passing[a + 1 :]
-        ]
+        tested = []
+        for a, j in enumerate(passing):
+            for k in passing[a + 1 :]:
+                if (j, k) not in stat_cache:
+                    y_jk = gen_pair_response(design, truth, cfg, j, k)
+                    design_jk = build_stage2_design(design[:, j], design[:, k])
+                    stat_cache[(j, k)] = _fit_outcome(design_jk, y_jk, family, INTERACTION_INDEX)[0]
+                tested.append((j, k, stat_cache[(j, k)]))
         stats = [abs(t) for _, _, t in tested if t is not None]
         t_hat = fdr_cutoff(stats, m_tested, cfg.p, eta)
         rejected = [(j, k) for j, k, t in tested if t is not None and abs(t) >= t_hat]
@@ -322,25 +309,13 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
         metrics = ReplicateMetrics(
             fdp=empirical_fdp(rejected, truth.h1_pairs),
             power=power,
-            omega=(2 * cfg.p + p1 * (p1 - 1)) / (cfg.p * (cfg.p - 1)),
+            omega=efficiency_omega(cfg.p, p1),
             p1=p1,
             t_hat=t_hat,
             rejections=len(rejected),
         )
         rows.append(ReplicateRow(alpha1=alpha1, rep=rep, seed=cfg.seed, metrics=metrics))
     return rows
-
-
-_SIM_STATE: dict = {}
-
-
-def _init_sim_pool(config, alpha1_list, eta):
-    _SIM_STATE["args"] = (config, tuple(alpha1_list), eta)
-
-
-def _sim_worker(rep: int) -> list[ReplicateRow]:
-    config, alpha1_list, eta = _SIM_STATE["args"]
-    return _run_one_replicate(config, alpha1_list, eta, rep)
 
 
 def run_replicates(
@@ -361,16 +336,7 @@ def run_replicates(
     alpha1_list = list(alpha1_list)
     if not alpha1_list:
         raise ValueError("alpha1_list must be nonempty")
-    if workers > 1 and reps > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ctx.Pool(
-            processes=min(workers, reps),
-            initializer=_init_sim_pool,
-            initargs=(config, alpha1_list, eta),
-        ) as pool:
-            per_rep = pool.map(_sim_worker, range(reps))
-    else:
-        per_rep = [_run_one_replicate(config, alpha1_list, eta, rep) for rep in range(reps)]
+    per_rep = _map_items(_run_one_replicate, (config, alpha1_list, eta), range(reps), workers)
     return [row for rep_rows in per_rep for row in rep_rows]
 
 

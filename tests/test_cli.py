@@ -48,6 +48,14 @@ class TestLoadCsv:
             load_csv_matrix(f)
         assert err.value.line == 3
 
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        f = tmp_path / "m.csv"
+        write_text(f, "a,b\n1,2\n\n\n3,x\n")
+        with pytest.raises(ParseError) as err:
+            load_csv_matrix(f)
+        assert err.value.line == 5 and err.value.col == 2
+        assert "line 5" in str(err.value)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "m.csv"
         write_text(f, "")
@@ -317,6 +325,40 @@ class TestAnalyzeCommand:
         )
         doc2 = json.loads(out2.read_text())
         assert doc2["alpha1"] == 0.5
+
+    def test_config_values_are_converted_like_flags(self, tmp_path):
+        x_path, y_path, _, _ = make_analysis_files(tmp_path, seed=11)
+        base = ["analyze", "--x", str(x_path), "--y", str(y_path), "--family", "gaussian"]
+        flags = tmp_path / "flags.json"
+        assert main(base + ["--alpha1", "0.1", "--eta", "0.1", "--out", str(flags)]) == 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg = {"alpha1": "0.1", "eta": "0.1", "workers": "2", "out": str(tmp_path / "cfg.out")}
+        write_text(cfg_path, json.dumps(cfg))
+        assert main(base + ["--config", str(cfg_path)]) == 0
+        from_cfg = json.loads((tmp_path / "cfg.out").read_text())
+        from_cfg["rejected_csv"] = json.loads(flags.read_text())["rejected_csv"]
+        assert from_cfg == json.loads(flags.read_text())
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"eta": "0.1x"}, {"family": "poisson"}, {"workers": 2.5}, {"dominant": "yes"}],
+    )
+    def test_bad_config_value_fails_before_loading(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "cfg.json"
+        write_text(cfg_path, json.dumps({"family": "gaussian", "alpha1": 0.1, "eta": 0.1, **bad}))
+        code = main(
+            [
+                "analyze",
+                "--config", str(cfg_path),
+                "--x", str(tmp_path / "missing.csv"),
+                "--y", str(tmp_path / "missing.csv"),
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error INVALID_CONFIG: ")
+        assert repr(next(iter(bad))) in err
 
 
 class TestSimulateCommand:

@@ -93,6 +93,26 @@ class TestDesignBuilders:
         with pytest.raises(ValueError):
             build_stage2_design([1.0, 2.0], [1.0, 2.0, 3.0])
 
+    def test_stage1_adjust_appended(self):
+        d = build_stage1_design([2.0, 0.0, 1.0], np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
+        assert d.values.shape == (3, 4)
+        assert d.labels == ("intercept", "x", "adjust1", "adjust2")
+        assert d.values[:, 2].tolist() == [5.0, 5.0, 5.0]
+        assert d.values[:, 3].tolist() == [1.0, 2.0, 3.0]
+
+    def test_stage1_one_dimensional_adjust_is_a_column(self):
+        d = build_stage1_design([2.0, 0.0, 1.0], [5.0, 6.0, 7.0])
+        assert d.labels == ("intercept", "x", "adjust1")
+        assert d.values[:, 2].tolist() == [5.0, 6.0, 7.0]
+
+    def test_stage1_adjust_rows_must_match(self):
+        with pytest.raises(ValueError):
+            build_stage1_design([2.0, 0.0, 1.0], np.ones((2, 1)))
+
+    def test_stage1_adjust_must_be_finite(self):
+        with pytest.raises(ValueError):
+            build_stage1_design([2.0, 0.0, 1.0], [5.0, float("inf"), 7.0])
+
 
 class TestFitGaussian:
     def test_exact_line(self):

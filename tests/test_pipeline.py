@@ -6,11 +6,13 @@ between adjacent grid points) and bisects the first feasible cell; it
 shares no interval algebra with the implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import pairscreen.pipeline
 from pairscreen import (
     GAUSSIAN,
     LOGISTIC,
@@ -180,6 +182,46 @@ class TestStage2:
         seq = stage2_tests(data, screen, workers=1)
         par = stage2_tests(data, screen, workers=3)
         assert seq == par
+
+
+class TestNotConverged:
+    """A fit that ends without meeting the score criterion is a failure with
+    its own code; the real fit is marked unconverged for chosen columns."""
+
+    def patch_fit(self, monkeypatch, flagged):
+        real_fit = pairscreen.pipeline.fit_glm
+
+        def fit_glm(design, y, family):
+            fit = real_fit(design, y, family)
+            if flagged(design.values):
+                return dataclasses.replace(fit, converged=False)
+            return fit
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+
+    def test_stage1_column(self, monkeypatch):
+        data = make_dataset(np.random.default_rng(8))
+        col = data.x[:, 2]
+        self.patch_fit(monkeypatch, lambda v: v.shape[1] == 2 and np.array_equal(v[:, 1], col))
+        screen = stage1_screen(data, 0.0)
+        assert screen.failed == {2: "NOT_CONVERGED"}
+        assert 2 not in screen.passing
+        assert np.isnan(screen.t_stats[2])
+
+    def test_stage2_pair(self, monkeypatch):
+        data = make_dataset(np.random.default_rng(9))
+        col_j, col_k = data.x[:, 1], data.x[:, 3]
+        self.patch_fit(
+            monkeypatch,
+            lambda v: v.shape[1] == 4
+            and np.array_equal(v[:, 1], col_j)
+            and np.array_equal(v[:, 2], col_k),
+        )
+        report = run_two_stage(data, alpha1=0.0, eta=0.1)
+        assert report.skipped == ((1, 3, "NOT_CONVERGED"),)
+        assert (1, 3) not in {(j, k) for j, k, _ in report.pairs}
+        assert report.p1 == data.p
+        assert report.m_tested == data.p * (data.p - 1) // 2 == len(report.pairs) + 1
 
 
 class TestFdrCutoff:
