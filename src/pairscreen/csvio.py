@@ -8,6 +8,7 @@ Floats are written with ``repr``, which is exact under round-trip.
 from __future__ import annotations
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +31,32 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
     Raises FileNotFoundError, EmptyInput for a file without data rows, and
     ParseError (with 1-based line/column) for ragged rows or non-numeric
-    cells.
+    cells.  The data rows are parsed by ``np.loadtxt``; whatever it rejects
+    or reads differently (wrong width, no rows, a non-finite value) is read
+    again cell by cell, which gives the error with its line and column and
+    accepts the few cells ``float`` takes and ``loadtxt`` does not (quoted
+    numbers, digit separators).
     """
     path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        header = next((row for row in csv.reader(fh) if row), None)
+        data = None
+        if header is not None:
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                try:
+                    data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+                except ValueError:
+                    pass
+    if data is None or data.shape[0] == 0 or data.shape[1] != len(header):
+        return _load_cell_by_cell(path)
+    if not np.isfinite(data).all():  # loadtxt reads inf and nan
+        return _load_cell_by_cell(path)
+    return data, tuple(label.strip() for label in header)
+
+
+def _load_cell_by_cell(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
+    """``load_csv_matrix`` with one ``float`` call per cell."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]  # blank lines skipped
@@ -80,7 +104,14 @@ def write_csv_matrix(path, matrix, labels) -> None:
 def dominant_encode(g) -> np.ndarray:
     """Map genotype counts {0, 1, 2} to a carrier indicator {0, 1}."""
     arr = np.asarray(g, dtype=float)
-    if not np.isin(arr, (0.0, 1.0, 2.0)).all():
-        bad = arr[~np.isin(arr, (0.0, 1.0, 2.0))].flat[0]
-        raise ParseError(f"dominant encoding requires entries in {{0, 1, 2}}, got {bad!r}")
+    cells = np.atleast_1d(arr)
+    bad = np.argwhere(~np.isin(cells, (0.0, 1.0, 2.0)))
+    if bad.size:
+        where = tuple(bad[0])
+        col = int(where[-1]) + 1
+        raise ParseError(
+            "dominant encoding requires entries in {0, 1, 2}, "
+            f"got {format_number(cells[where])} in column {col}",
+            col=col,
+        )
     return (arr > 0).astype(float)

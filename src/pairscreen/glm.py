@@ -343,3 +343,80 @@ def wald_statistic(fit: GlmFit, coef_index: int, n: int | None = None) -> WaldSt
     if not np.isfinite(value):
         raise DegenerateVariance(f"non-finite Wald statistic at index {coef_index}")
     return WaldStat(value=value, coef_index=coef_index, se=se)
+
+
+def _cell_loglik(theta, counts, sums, n):
+    return (sums * theta - counts * LOGISTIC.cumulant(theta)).sum(axis=1) / n
+
+
+def _cell_score(mu, counts, sums, cells, n):
+    return np.max(np.abs((sums - counts * mu) @ cells), axis=1) / n
+
+
+def _logistic_cell_wald(counts, sums, cells: np.ndarray, coef_index: int) -> np.ndarray:
+    """Logistic Wald statistics of many saturated working fits at once.
+
+    Row i of ``counts`` and ``sums`` describes one fit: the number of
+    observations and the response sum in each cell, a cell being one row of
+    the invertible d x d matrix ``cells`` (a design built on the d distinct
+    covariate rows).  A design whose rows are all cells of ``cells`` is
+    saturated: the likelihood depends on the data only through the cell
+    counts, and fit_glm's Newton step in beta = cells^-1 theta is the step
+    theta_c += (p_c - mu_c) / (mu_c (1 - mu_c)) with p_c = sums_c / counts_c.
+    This replays fit_glm's logistic rules on the cells: start at beta = 0,
+    the score stopping rule, the log-likelihood acceptance test, the
+    |beta| box, and wald_statistic's degeneracy tests on the sandwich.
+
+    Returns the sqrt(n)-scaled T of coefficient ``coef_index`` for each row,
+    or NaN where fit_glm would need a rule not replayed here: an empty cell
+    (rank test), a pure cell (separation), a full step that fails the
+    acceptance test (step halving), an iterate outside the box, no
+    convergence, or a degenerate variance.  The caller fits those rows with
+    fit_glm.  With every cell mixed, fit_glm's other tests cannot fire: the
+    design's singular-value ratio is of order n^-1/2, and some residual is
+    at least 1/2.
+    """
+    counts = np.asarray(counts, dtype=float)
+    sums = np.asarray(sums, dtype=float)
+    inv = np.linalg.inv(cells)
+    stats = np.full(counts.shape[0], np.nan)
+    # an empty or pure cell needs fit_glm's rank or separation rules
+    live = np.flatnonzero(((sums > 0.0) & (sums < counts)).all(axis=1))
+    nc, sc = counts[live], sums[live]
+    n = nc.sum(axis=1)
+    phat = sc / nc
+    theta = np.zeros_like(nc)
+    mu = LOGISTIC.mean(theta)
+    ll = _cell_loglik(theta, nc, sc, n)
+    score = _cell_score(mu, nc, sc, cells, n)
+    ok = np.ones(live.size, dtype=bool)
+    active = np.flatnonzero(score > _SCORE_TARGET)
+    for _ in range(_MAX_ITER):
+        if active.size == 0:
+            break
+        m = mu[active]
+        cand = theta[active] + (phat[active] - m) / LOGISTIC.variance_from_mean(m)
+        cand_ll = _cell_loglik(cand, nc[active], sc[active], n[active])
+        full = cand_ll >= ll[active] - 1e-12 * (1.0 + np.abs(ll[active]))
+        keep = full & (np.max(np.abs(cand @ inv.T), axis=1) <= _SEPARATION_BOUND)
+        ok[active[~keep]] = False
+        active, cand = active[keep], cand[keep]
+        theta[active] = cand
+        mu[active] = LOGISTIC.mean(cand)
+        ll[active] = cand_ll[keep]
+        score[active] = _cell_score(mu[active], nc[active], sc[active], cells, n[active])
+        active = active[score[active] > _SCORE_TARGET]
+    ok &= score <= _SCORE_CONTRACT
+
+    # Sandwich A^-1 B A^-1 with diagonal cell-space A and B:
+    # var(beta_k) = sum_c inv[k, c]^2 B_cc / A_cc^2.
+    a_cell = nc * LOGISTIC.variance_from_mean(mu) / n[:, None]
+    b_cell = (sc * (1.0 - mu) ** 2 + (nc - sc) * mu**2) / n[:, None]
+    weight = inv[coef_index] ** 2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var = (weight * b_cell / a_cell**2).sum(axis=1)
+        model_var = (weight / a_cell).sum(axis=1)
+        stat = np.sqrt(n) * (theta @ inv[coef_index]) / np.sqrt(var)
+    ok &= np.isfinite(var) & (var > 0.0) & (var >= 1e-24 * model_var) & np.isfinite(stat)
+    stats[live[ok]] = stat[ok]
+    return stats

@@ -30,7 +30,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllFitsFailed, DegenerateVariance, Separation, SingularDesign
-from .glm import Family, build_stage1_design, build_stage2_design, fit_glm, wald_statistic
+from .glm import (
+    LOGISTIC,
+    Family,
+    _logistic_cell_wald,
+    build_stage1_design,
+    build_stage2_design,
+    fit_glm,
+    wald_statistic,
+)
 from .metrics import efficiency_omega
 from .normal import gauss_tail_inverse, gauss_two_sided_tail
 
@@ -48,6 +56,7 @@ __all__ = [
 ]
 
 INTERACTION_INDEX = 3  # column of x_j * x_k in the stage-2 design
+_PAIR_BLOCK = 8192  # pairs per cell-count block in stage 2
 
 
 @dataclass(frozen=True)
@@ -219,20 +228,62 @@ def _test_one_pair(x, y, family, adjust, pair):
     return _fit_outcome(design, y, family, INTERACTION_INDEX)
 
 
+def _cell_pair_stats(data: Dataset, cols: np.ndarray, jj, kk) -> np.ndarray:
+    """Interaction T for the pairs (jj, kk) of the 0/1 columns ``cols``,
+    fitted from cell counts; NaN where the pair needs a full fit.
+
+    Counts and response sums of the (1, 1) cells come from Gram matrices
+    (0/1 sums, exact in float64); the other three cells follow by
+    subtraction.  The pairs run in blocks of ``_PAIR_BLOCK``.
+    """
+    # the stage-2 design of the cells (a, b) = 00, 10, 01, 11
+    cells = build_stage2_design(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
+    gram = cols.T @ cols
+    y_gram = (cols * data.y[:, None]).T @ cols
+    n, y_sum = data.n, data.y.sum()
+    stats = np.empty(jj.size)
+    for lo in range(0, jj.size, _PAIR_BLOCK):
+        j, k = jj[lo : lo + _PAIR_BLOCK], kk[lo : lo + _PAIR_BLOCK]
+        n11, na, nb = gram[j, k], gram[j, j], gram[k, k]
+        s11, sa, sb = y_gram[j, k], y_gram[j, j], y_gram[k, k]
+        counts = np.column_stack([n - na - nb + n11, na - n11, nb - n11, n11])
+        sums = np.column_stack([y_sum - sa - sb + s11, sa - s11, sb - s11, s11])
+        stats[lo : lo + _PAIR_BLOCK] = _logistic_cell_wald(
+            counts, sums, cells.values, INTERACTION_INDEX
+        )
+    return stats
+
+
 def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairTestResult:
     """Interaction Wald statistics for every pair of passing variables.
 
     Pairs are enumerated lexicographically (j < k) and the result is
     identical for any worker count; per-pair fit failures land in
-    ``skipped`` with a status code.
+    ``skipped`` with a status code.  Logistic pairs of 0/1 columns without
+    adjusters are fitted from cell counts; the pairs among them that need a
+    full fit, and all other pairs, go to the worker pool.
     """
-    idx = screen.passing
-    pair_list = [(j, k) for a, j in enumerate(idx) for k in idx[a + 1 :]]
+    idx = np.asarray(screen.passing, dtype=int)
+    jj, kk = np.triu_indices(idx.size, 1)
+    cols = data.x[:, idx]
+    stats = np.full(jj.size, np.nan)
+    if data.family is LOGISTIC and data.adjust is None and ((cols == 0.0) | (cols == 1.0)).all():
+        stats = _cell_pair_stats(data, cols, jj, kk)
+    todo = np.flatnonzero(np.isnan(stats))
+    pair_j, pair_k = idx[jj], idx[kk]
+    items = list(zip(pair_j[todo].tolist(), pair_k[todo].tolist()))
     shared = (data.x, data.y, data.family, data.adjust)
-    results = list(zip(pair_list, _map_items(_test_one_pair, shared, pair_list, workers)))
-    pairs = tuple((j, k, stat) for (j, k), (stat, code) in results if code is None)
-    skipped = tuple((j, k, code) for (j, k), (_, code) in results if code is not None)
-    return PairTestResult(pairs=pairs, skipped=skipped)
+    fitted = _map_items(_test_one_pair, shared, items, workers)
+    keep = np.ones(stats.size, dtype=bool)
+    skipped = []
+    for i, (j, k), (stat, code) in zip(todo.tolist(), items, fitted):
+        if code is None:
+            stats[i] = stat
+        else:
+            keep[i] = False
+            skipped.append((j, k, code))
+    pairs = tuple(zip(pair_j[keep].tolist(), pair_k[keep].tolist(), stats[keep].tolist()))
+    return PairTestResult(pairs=pairs, skipped=tuple(skipped))
 
 
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:

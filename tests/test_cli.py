@@ -2,15 +2,25 @@
 
 import json
 import math
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
-from pairscreen import EmptyInput, GAUSSIAN, Dataset, ParseError, run_two_stage
+from pairscreen import (
+    GAUSSIAN,
+    LOGISTIC,
+    Dataset,
+    EmptyInput,
+    ParseError,
+    build_stage2_design,
+    run_two_stage,
+)
 from pairscreen.cli import main
 from pairscreen.csvio import dominant_encode, load_csv_matrix, write_csv_matrix
+from pairscreen.pipeline import _fit_outcome
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 
@@ -69,6 +79,44 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv_matrix(tmp_path / "nope.csv")
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            pytest.param("a,b\n1,2 # c\n", (ParseError, 2, 2), id="comment"),
+            pytest.param('a,b\n"1",2\n', [[1.0, 2.0]], id="quoted"),
+            pytest.param('a,b\n"1,5",2\n', (ParseError, 2, 1), id="quoted-comma"),
+            pytest.param("a,b\n 1 , 2 \n", [[1.0, 2.0]], id="padded"),
+            pytest.param("a,b\n1_000,2\n", [[1000.0, 2.0]], id="digit-separator"),
+            pytest.param("a,b\ninf,2\n", (ParseError, 2, 1), id="inf"),
+            pytest.param("a,b\n1,nan\n", (ParseError, 2, 2), id="nan"),
+            pytest.param("a,b\n1,\n", (ParseError, 2, 2), id="empty-cell"),
+            pytest.param("a,b\n0x10,2\n", (ParseError, 2, 1), id="hex"),
+            pytest.param("a,b\r\n1,2\r\n3,4\r\n", [[1.0, 2.0], [3.0, 4.0]], id="crlf"),
+            pytest.param("\n\na,b\n1,2\n", [[1.0, 2.0]], id="leading-blank-lines"),
+            pytest.param("a,b\n1,2\n   \n3,4\n", (ParseError, 3, None), id="whitespace-line"),
+            pytest.param("a,b\n1,2,\n", (ParseError, 2, None), id="trailing-comma"),
+            pytest.param("a,b\n1,2,3\n", (ParseError, 2, None), id="extra-cell"),
+            pytest.param("a,b\n\n", (EmptyInput, None, None), id="header-only"),
+        ],
+    )
+    def test_same_result_as_cell_by_cell_reading(self, tmp_path, text, expected):
+        # expected: what one float() call per cell gives, the matrix or the
+        # error with its line and column
+        f = tmp_path / "m.csv"
+        f.write_bytes(text.encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if isinstance(expected, list):
+                matrix, labels = load_csv_matrix(f)
+                assert matrix.tolist() == expected
+                assert labels == ("a", "b")
+                return
+            error, line, col = expected
+            with pytest.raises(error) as err:
+                load_csv_matrix(f)
+        if error is ParseError:
+            assert (err.value.line, err.value.col) == (line, col)
+
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal((17, 4)) * 10.0 ** rng.integers(-8, 8, size=(17, 4))
@@ -96,6 +144,14 @@ class TestDominantEncode:
             dominant_encode(np.array([0.0, 3.0]))
         with pytest.raises(ParseError):
             dominant_encode(np.array([0.5]))
+        with pytest.raises(ParseError) as err:
+            dominant_encode(np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 3.0]]))
+        assert str(err.value).endswith("got 3 in column 3")
+        assert err.value.col == 3
+        with pytest.raises(ParseError) as err:
+            dominant_encode(np.array([[0.5], [1.0]]))
+        assert "got 0.5 in column 1" in str(err.value)
+        assert err.value.col == 1
 
 
 def make_analysis_files(tmp_path, n=60, p=5, seed=0):
@@ -270,6 +326,46 @@ class TestAnalyzeCommand:
             ]
         )
         assert code == 0
+
+    def test_logistic_dominant_report_same_for_any_worker_count(self, tmp_path):
+        rng = np.random.default_rng(21)
+        g = rng.integers(0, 3, size=(150, 6)).astype(float)
+        g[:, 4] = g[:, 0]  # pair (0, 4) has empty cells
+        carrier = g > 0
+        y = (rng.random(150) < 1 / (1 + np.exp(0.5 - 1.2 * carrier[:, 0] * carrier[:, 1]))) * 1.0
+        y[carrier[:, 2] & carrier[:, 3]] = 1.0  # pair (2, 3) has a pure cell
+        write_csv_matrix(tmp_path / "g.csv", g, tuple(f"s{i}" for i in range(6)))
+        write_csv_matrix(tmp_path / "y.csv", y[:, None], ("y",))
+
+        def run(workers):
+            out_dir = tmp_path / f"w{workers}"
+            out_dir.mkdir()
+            code = main(
+                [
+                    "analyze",
+                    "--x", str(tmp_path / "g.csv"),
+                    "--y", str(tmp_path / "y.csv"),
+                    "--family", "logistic",
+                    "--alpha1", "0",
+                    "--eta", "0.1",
+                    "--dominant",
+                    "--workers", str(workers),
+                    "--out", str(out_dir / "r.json"),
+                ]
+            )
+            assert code == 0
+            return [(out_dir / name).read_bytes() for name in ("r.json", "r.rejected.csv")]
+
+        # pairs (0, 4) and (2, 3) need full fits, which the two workers share
+        one, two = run(1), run(2)
+        assert one == two
+        doc = json.loads(one[0])
+        outcomes = {(rec["j"], rec["k"]): (rec["t_jk"], None) for rec in doc["pairs"]}
+        outcomes.update({(rec["j"], rec["k"]): (None, rec["reason"]) for rec in doc["skipped"]})
+        carrier = carrier.astype(float)
+        for j, k in ((0, 4), (2, 3)):
+            design = build_stage2_design(carrier[:, j], carrier[:, k])
+            assert outcomes[(j, k)] == _fit_outcome(design, y, LOGISTIC, 3)
 
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)

@@ -11,13 +11,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pairscreen.glm
 import pairscreen.pipeline
 from pairscreen import (
     GAUSSIAN,
     LOGISTIC,
     AllFitsFailed,
     Dataset,
+    build_stage1_design,
+    build_stage2_design,
     alpha_from_rate,
     fdr_cutoff,
     gauss_two_sided_tail,
@@ -222,6 +227,116 @@ class TestNotConverged:
         assert (1, 3) not in {(j, k) for j, k, _ in report.pairs}
         assert report.p1 == data.p
         assert report.m_tested == data.p * (data.p - 1) // 2 == len(report.pairs) + 1
+
+
+@st.composite
+def binary_logistic_data(draw):
+    """0/1 columns at random rates, with constant, copied and complemented
+    columns, so that some cells are empty and some pure; y may be nearly
+    all 0 or all 1."""
+    n = draw(st.integers(5, 80))
+    p = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rates = st.sampled_from([0.0, 0.03, 0.2, 0.5, 0.8, 0.97, 1.0])
+    x = np.empty((n, p))
+    for j in range(p):
+        kind = draw(st.sampled_from(["random", "random", "random", "copy", "complement"]))
+        if j > 0 and kind == "copy":
+            x[:, j] = x[:, j - 1]
+        elif j > 0 and kind == "complement":
+            x[:, j] = 1.0 - x[:, j - 1]
+        else:
+            x[:, j] = rng.random(n) < draw(rates)
+    y = (rng.random(n) < draw(st.sampled_from([0.02, 0.1, 0.5, 0.9, 0.98]))).astype(float)
+    return Dataset(x=x, y=y, family=LOGISTIC)
+
+
+class TestCellCounts:
+    """Stage-2 logistic fits on 0/1 columns run from cell counts; both
+    stages must agree with the fit on the full rows, item by item."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=binary_logistic_data(), alpha=st.sampled_from([0.0, 0.5, 1.5]))
+    def test_same_outcomes_as_full_fits(self, data, alpha):
+        fit_outcome = pairscreen.pipeline._fit_outcome
+        stage1 = [
+            fit_outcome(build_stage1_design(data.x[:, j]), data.y, LOGISTIC, 1)
+            for j in range(data.p)
+        ]
+        failed = {j: code for j, (_, code) in enumerate(stage1) if code is not None}
+        if len(failed) == data.p:
+            with pytest.raises(AllFitsFailed):
+                stage1_screen(data, alpha)
+            return
+        screen = stage1_screen(data, alpha)
+        assert screen.failed == failed
+        for j, (stat, code) in enumerate(stage1):
+            if code is None:
+                assert abs(screen.t_stats[j] - stat) <= 1e-10
+        passing = tuple(j for j, (t, code) in enumerate(stage1) if code is None and abs(t) >= alpha)
+        assert screen.passing == passing
+
+        result = stage2_tests(data, screen)
+        expected_pairs, expected_skipped = [], []
+        for a, j in enumerate(passing):
+            for k in passing[a + 1 :]:
+                design = build_stage2_design(data.x[:, j], data.x[:, k])
+                stat, code = fit_outcome(design, data.y, LOGISTIC, 3)
+                if code is None:
+                    expected_pairs.append((j, k, stat))
+                else:
+                    expected_skipped.append((j, k, code))
+        assert result.skipped == tuple(expected_skipped)
+        assert [(j, k) for j, k, _ in result.pairs] == [(j, k) for j, k, _ in expected_pairs]
+        for (_, _, got), (_, _, want) in zip(result.pairs, expected_pairs):
+            assert abs(got - want) <= 1e-10
+
+    @staticmethod
+    def count_pair_fits(monkeypatch, data):
+        """Run stage 2 and return the pairs it fitted with fit_glm."""
+        screen = stage1_screen(data, 0.0)
+        real_fit = pairscreen.glm.fit_glm
+        fitted = []
+
+        def fit_glm(design, y, family):
+            cols = [
+                j
+                for v in design.values.T[1:3]
+                for j in range(data.p)
+                if np.array_equal(v, data.x[:, j])
+            ]
+            fitted.append(tuple(cols))
+            return real_fit(design, y, family)
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        stage2_tests(data, screen)
+        return fitted
+
+    @staticmethod
+    def pairs_with_a_pure_cell(x, y):
+        p = x.shape[1]
+        return [
+            (j, k)
+            for j in range(p)
+            for k in range(j + 1, p)
+            if any(
+                cell.size and cell.min() == cell.max()
+                for cell in (y[(x[:, j] == a) & (x[:, k] == b)] for a in (0, 1) for b in (0, 1))
+            )
+        ]
+
+    def test_full_fits_only_for_pairs_with_a_pure_cell(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        x = (rng.random((400, 5)) < 0.5).astype(float)
+        y = (rng.random(400) < 0.4).astype(float)
+        assert self.pairs_with_a_pure_cell(x, y) == []
+        data = Dataset(x=x, y=y, family=LOGISTIC)
+        assert self.count_pair_fits(monkeypatch, data) == []
+
+        y[(x[:, 1] == 1.0) & (x[:, 3] == 1.0)] = 1.0
+        assert self.pairs_with_a_pure_cell(x, y) == [(1, 3)]
+        data = Dataset(x=x, y=y, family=LOGISTIC)
+        assert self.count_pair_fits(monkeypatch, data) == [(1, 3)]
 
 
 class TestFdrCutoff:
