@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
@@ -50,11 +52,32 @@ _METRICS_COLUMNS = [
 ]
 
 
-def _float_list(text) -> list[float]:
-    """Comma-separated numbers; a config file may give a JSON list instead."""
+def _bounded(convert, ok, expected: str):
+    """An option ``type``: ``convert(text)``, which must satisfy ``ok``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except (TypeError, ValueError):
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+
+    return parse
+
+
+_eta = _bounded(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_rate = _bounded(float, lambda v: v >= 0.0, "a number >= 0")
+_workers = _bounded(int, lambda v: v >= 1, "an integer >= 1")
+
+
+def _float_list(text, number=float) -> list[float]:
+    """Comma-separated numbers, each read by ``number``; a config file may
+    give a JSON list instead."""
     tokens = text if isinstance(text, list) else str(text).split(",")
     try:
-        values = [float(tok) for tok in tokens if tok != ""]
+        values = [number(tok) for tok in tokens if tok != ""]
     except (TypeError, ValueError):
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
@@ -75,15 +98,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     pa.add_argument("--y", dest="y", type=str, help="response CSV (single column)")
     pa.add_argument("--adjust", type=str, help="optional adjustment-covariate CSV")
     pa.add_argument("--family", choices=["gaussian", "logistic"], help="working family")
-    pa.add_argument("--alpha1", type=float, help="stage-1 rate (alpha = sqrt(alpha1 log p))")
-    pa.add_argument("--eta", type=float, help="target FDR level in (0, 1)")
+    pa.add_argument("--alpha1", type=_rate, help="stage-1 rate (alpha = sqrt(alpha1 log p))")
+    pa.add_argument("--eta", type=_eta, help="target FDR level in (0, 1)")
     pa.add_argument("--dominant", action="store_true", default=None,
                     help="recode covariates {0,1,2} -> {0,1} (carrier indicator)")
     pa.add_argument("--strict-cutoff", action="store_true", default=None,
                     help="reject with |T| > t_hat instead of >=")
     pa.add_argument("--adjust-in-stage1", action="store_true", default=None,
                     help="include adjustment covariates in stage-1 designs too")
-    pa.add_argument("--workers", type=int, help="parallel workers for the pair loop")
+    pa.add_argument("--workers", type=_workers, help="parallel workers for the pair loop")
     pa.add_argument("--out", type=str, help="output JSON report path")
 
     ps = sub.add_parser("simulate", help="run the seeded replicate harness")
@@ -92,9 +115,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ps.add_argument("--n", type=int, help="sample size")
     ps.add_argument("--p", type=int, help="number of variables")
     ps.add_argument("--b", type=_float_list, help="signal sizes, comma separated")
-    ps.add_argument("--alpha1", type=_float_list,
+    ps.add_argument("--alpha1", type=functools.partial(_float_list, number=_rate),
                     help="stage-1 rates, comma separated (0 = BH baseline)")
-    ps.add_argument("--eta", type=float, help="target FDR level in (0, 1)")
+    ps.add_argument("--eta", type=_eta, help="target FDR level in (0, 1)")
     ps.add_argument("--reps", type=int, help="replicates per (alpha1, b) cell")
     ps.add_argument("--seed", type=int, help="base seed; replicate r uses seed + r")
     ps.add_argument("--misspecified", action="store_true", default=None,
@@ -102,7 +125,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ps.add_argument("--cov", choices=["identity", "ar1"], help="covariate covariance")
     ps.add_argument("--beta0", type=float, help="intercept (default -1 gaussian, -2 logistic)")
     ps.add_argument("--active-limit", type=int, help="candidate-set size for active mains")
-    ps.add_argument("--workers", type=int, help="parallel workers over replicates")
+    ps.add_argument("--workers", type=_workers, help="parallel workers over replicates")
     ps.add_argument("--out", type=str, help="output metrics CSV path")
     return parser, {"analyze": pa, "simulate": ps}
 
@@ -187,8 +210,8 @@ def _metric_cell(value) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, ["family", "n", "p", "b", "alpha1", "eta", "reps", "seed", "out"])
-    out_rows: list[list[str]] = []
-    aggregates: list[list[str]] = []
+    out_rows: list[dict] = []
+    aggregates: list[dict] = []
     for b in args.b:
         config = SimConfig(
             n=args.n,
@@ -203,49 +226,39 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         rows = run_replicates(config, args.alpha1, args.eta, args.reps, workers=args.workers or 1)
         for row in rows:
-            m = row.metrics
+            metrics = dataclasses.asdict(row.metrics) if row.metrics else {}
             out_rows.append(
-                [
-                    format_number(row.alpha1),
-                    format_number(b),
-                    str(row.rep),
-                    _metric_cell(m.fdp if m else None),
-                    _metric_cell(m.power if m else None),
-                    _metric_cell(m.omega if m else None),
-                    _metric_cell(m.p1 if m else None),
-                    _metric_cell(m.t_hat if m else None),
-                    _metric_cell(m.rejections if m else None),
-                    str(row.seed),
-                    row.error or "",
-                    "",
-                    "",
-                    "",
-                    "",
-                ]
+                {
+                    **{name: _metric_cell(value) for name, value in metrics.items()},
+                    "alpha1": format_number(row.alpha1),
+                    "b": format_number(b),
+                    "rep": str(row.rep),
+                    "seed": str(row.seed),
+                    "error": row.error or "",
+                }
             )
         for agg in aggregate_rows(rows):
             aggregates.append(
-                [
-                    format_number(agg.alpha1),
-                    format_number(b),
-                    "mean",
-                    _metric_cell(agg.fdp_mean),
-                    _metric_cell(agg.power_mean),
-                    _metric_cell(agg.omega_mean),
-                    _metric_cell(agg.p1_mean),
-                    _metric_cell(agg.t_hat_mean),
-                    _metric_cell(agg.rejections_mean),
-                    str(args.seed),
-                    "",
-                    _metric_cell(agg.fdp_se),
-                    _metric_cell(agg.power_se),
-                    str(agg.power_reps),
-                    str(agg.failed),
-                ]
+                {
+                    "alpha1": format_number(agg.alpha1),
+                    "b": format_number(b),
+                    "rep": "mean",
+                    "fdp": _metric_cell(agg.fdp_mean),
+                    "power": _metric_cell(agg.power_mean),
+                    "omega": _metric_cell(agg.omega_mean),
+                    "p1": _metric_cell(agg.p1_mean),
+                    "t_hat": _metric_cell(agg.t_hat_mean),
+                    "rejections": _metric_cell(agg.rejections_mean),
+                    "seed": str(args.seed),
+                    "fdp_se": _metric_cell(agg.fdp_se),
+                    "power_se": _metric_cell(agg.power_se),
+                    "power_reps": str(agg.power_reps),
+                    "failed_reps": str(agg.failed),
+                }
             )
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_METRICS_COLUMNS)
+        writer = csv.DictWriter(fh, _METRICS_COLUMNS, restval="", lineterminator="\n")
+        writer.writeheader()
         writer.writerows(out_rows)
         writer.writerows(aggregates)
     return 0

@@ -118,10 +118,14 @@ class ScreenResult:
 
 @dataclass(frozen=True)
 class PairTestResult:
-    """Interaction statistics (j, k, T_jk) with j < k, plus skipped pairs."""
+    """Stage-2 outcome per pair, as parallel arrays in lexicographic (j < k)
+    order: ``t`` is the interaction T, NaN where the fit failed; ``status``
+    is ``""`` for a fitted pair and the failure code otherwise."""
 
-    pairs: tuple[tuple[int, int, float], ...]
-    skipped: tuple[tuple[int, int, str], ...]
+    j: np.ndarray
+    k: np.ndarray
+    t: np.ndarray
+    status: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -137,19 +141,14 @@ class FdrReport:
     p: int
     n: int
     omega: float
-    rejected: tuple[tuple[int, int, float], ...]
-    pairs: tuple[tuple[int, int, float], ...]
-    skipped: tuple[tuple[int, int, str], ...]
+    pairs: PairTestResult
+    rejected: np.ndarray  # boolean mask aligned with ``pairs``
     stage1_failed: dict[int, str]
     strict: bool
 
     @property
-    def skipped_count(self) -> int:
-        return len(self.skipped)
-
-    @property
     def rejections(self) -> int:
-        return len(self.rejected)
+        return int(self.rejected.sum())
 
 
 def alpha_from_rate(alpha1: float, p: int) -> float:
@@ -161,16 +160,16 @@ def alpha_from_rate(alpha1: float, p: int) -> float:
     return math.sqrt(alpha1 * math.log(p))
 
 
-def _fit_outcome(design, y, family: Family, coef_index: int) -> tuple[float | None, str | None]:
-    """Fit the working GLM and return ``(T, None)`` for coefficient
-    ``coef_index``, or ``(None, code)`` when the fit failed or did not converge."""
+def _fit_outcome(design, y, family: Family, coef_index: int) -> tuple[float, str]:
+    """Fit the working GLM and return ``(T, "")`` for coefficient
+    ``coef_index``, or ``(nan, code)`` when the fit failed or did not converge."""
     try:
         fit = fit_glm(design, y, family)
         if not fit.converged:
-            return None, "NOT_CONVERGED"
-        return wald_statistic(fit, coef_index).value, None
+            return math.nan, "NOT_CONVERGED"
+        return wald_statistic(fit, coef_index).value, ""
     except (SingularDesign, Separation, DegenerateVariance) as exc:
-        return None, exc.code
+        return math.nan, exc.code
 
 
 _WORKER_TASK: tuple = ()  # (func, shared), set in each forked worker
@@ -211,10 +210,8 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     failed: dict[int, str] = {}
     for j in range(p):
         design = build_stage1_design(data.x[:, j], adjust)
-        stat, code = _fit_outcome(design, data.y, data.family, 1)
-        if code is None:
-            t_stats[j] = stat
-        else:
+        t_stats[j], code = _fit_outcome(design, data.y, data.family, 1)
+        if code:
             failed[j] = code
     if len(failed) == p:
         raise AllFitsFailed("every stage-1 marginal fit failed")
@@ -258,32 +255,26 @@ def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairT
     """Interaction Wald statistics for every pair of passing variables.
 
     Pairs are enumerated lexicographically (j < k) and the result is
-    identical for any worker count; per-pair fit failures land in
-    ``skipped`` with a status code.  Logistic pairs of 0/1 columns without
-    adjusters are fitted from cell counts; the pairs among them that need a
-    full fit, and all other pairs, go to the worker pool.
+    identical for any worker count; a failed fit leaves T = NaN and its
+    status code.  Logistic pairs of 0/1 columns without adjusters are
+    fitted from cell counts; the pairs among them that need a full fit, and
+    all other pairs, go to the worker pool.
     """
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
     cols = data.x[:, idx]
-    stats = np.full(jj.size, np.nan)
+    t = np.full(jj.size, np.nan)
     if data.family is LOGISTIC and data.adjust is None and ((cols == 0.0) | (cols == 1.0)).all():
-        stats = _cell_pair_stats(data, cols, jj, kk)
-    todo = np.flatnonzero(np.isnan(stats))
+        t = _cell_pair_stats(data, cols, jj, kk)
+    status = np.full(jj.size, "", dtype=object)
+    todo = np.flatnonzero(np.isnan(t))
     pair_j, pair_k = idx[jj], idx[kk]
     items = list(zip(pair_j[todo].tolist(), pair_k[todo].tolist()))
     shared = (data.x, data.y, data.family, data.adjust)
     fitted = _map_items(_test_one_pair, shared, items, workers)
-    keep = np.ones(stats.size, dtype=bool)
-    skipped = []
-    for i, (j, k), (stat, code) in zip(todo.tolist(), items, fitted):
-        if code is None:
-            stats[i] = stat
-        else:
-            keep[i] = False
-            skipped.append((j, k, code))
-    pairs = tuple(zip(pair_j[keep].tolist(), pair_k[keep].tolist(), stats[keep].tolist()))
-    return PairTestResult(pairs=pairs, skipped=tuple(skipped))
+    for i, (stat, code) in zip(todo.tolist(), fitted):
+        t[i], status[i] = stat, code
+    return PairTestResult(j=pair_j, k=pair_k, t=t, status=status)
 
 
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
@@ -299,7 +290,7 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    stats = np.abs(np.asarray(list(pair_stats), dtype=float))
+    stats = np.abs(np.asarray(pair_stats, dtype=float))
     if m_tested < stats.size:
         raise ValueError(f"m_tested={m_tested} smaller than the number of statistics {stats.size}")
     t_max = math.sqrt(2.0 * math.log(p))
@@ -338,15 +329,12 @@ def run_two_stage(
     """
     alpha = alpha_from_rate(alpha1, data.p)
     screen = stage1_screen(data, alpha, adjust_in_stage1=adjust_in_stage1)
-    pair_res = stage2_tests(data, screen, workers=workers)
+    pairs = stage2_tests(data, screen, workers=workers)
     p1 = len(screen.passing)
     m_tested = p1 * (p1 - 1) // 2
-    stats = [abs(t) for _, _, t in pair_res.pairs]
-    t_hat = fdr_cutoff(stats, m_tested, data.p, eta)
-    if strict_cutoff:
-        rejected = tuple(rec for rec in pair_res.pairs if abs(rec[2]) > t_hat)
-    else:
-        rejected = tuple(rec for rec in pair_res.pairs if abs(rec[2]) >= t_hat)
+    abs_t = np.abs(pairs.t)
+    t_hat = fdr_cutoff(abs_t[pairs.status == ""], m_tested, data.p, eta)
+    rejected = abs_t > t_hat if strict_cutoff else abs_t >= t_hat
     return FdrReport(
         t_hat=t_hat,
         eta=float(eta),
@@ -357,9 +345,8 @@ def run_two_stage(
         p=data.p,
         n=data.n,
         omega=efficiency_omega(data.p, p1),
+        pairs=pairs,
         rejected=rejected,
-        pairs=pair_res.pairs,
-        skipped=pair_res.skipped,
         stage1_failed=dict(screen.failed),
         strict=bool(strict_cutoff),
     )

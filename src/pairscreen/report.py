@@ -19,22 +19,15 @@ def rejected_csv_path(out_path) -> Path:
 
 
 def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str | None = None) -> dict:
-    rejected_keys = {(j, k) for j, k, _ in report.rejected}
-    pairs = [
-        {
-            "j": j,
-            "k": k,
-            "label_j": data.label(j),
-            "label_k": data.label(k),
-            "t_jk": t,
-            "rejected": (j, k) in rejected_keys,
-        }
-        for j, k, t in report.pairs
-    ]
-    skipped = [
-        {"j": j, "k": k, "label_j": data.label(j), "label_k": data.label(k), "reason": reason}
-        for j, k, reason in report.skipped
-    ]
+    res = report.pairs
+    rows = zip(res.j.tolist(), res.k.tolist(), res.t.tolist(), res.status.tolist())
+    pairs, skipped = [], []
+    for (j, k, t, status), rejected in zip(rows, report.rejected.tolist()):
+        rec = {"j": j, "k": k, "label_j": data.label(j), "label_k": data.label(k)}
+        if status:
+            skipped.append({**rec, "reason": status})
+        else:
+            pairs.append({**rec, "t_jk": t, "rejected": rejected})
     doc = {
         "tool": "pairscreen",
         "command": "analyze",
@@ -51,7 +44,7 @@ def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str | None = 
         "m_tested": report.m_tested,
         "omega": report.omega,
         "rejections": report.rejections,
-        "skipped_count": report.skipped_count,
+        "skipped_count": len(skipped),
         "stage1_failed": {str(j): code for j, code in sorted(report.stage1_failed.items())},
         "pairs": pairs,
         "skipped": skipped,
@@ -74,10 +67,14 @@ def write_report(report: FdrReport, data: Dataset, out_path) -> Path:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-    ranked = sorted(report.rejected, key=lambda rec: (-abs(rec[2]), rec[0], rec[1]))
+    res, rej = report.pairs, report.rejected
+    ranked = sorted(
+        zip(res.j[rej].tolist(), res.k[rej].tolist(), res.t[rej].tolist()),
+        key=lambda rec: (-abs(rec[2]), rec[0], rec[1]),
+    )
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["j", "k", "label_j", "label_k", "t_jk"])
         for j, k, t in ranked:
-            writer.writerow([j, k, data.label(j), data.label(k), repr(float(t))])
+            writer.writerow([j, k, data.label(j), data.label(k), repr(t)])
     return csv_path

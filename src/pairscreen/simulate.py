@@ -31,11 +31,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PairscreenError
-from .glm import GAUSSIAN, build_stage2_design, family_from_name
-from .glm import fit_glm, wald_statistic  # noqa: F401  (benchmark trace hooks patch them here)
+from .glm import GAUSSIAN, family_from_name
+# the benchmark's trace hooks patch these three names here
+from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .metrics import ReplicateMetrics, efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import INTERACTION_INDEX, Dataset, _fit_outcome, _map_items, alpha_from_rate
-from .pipeline import fdr_cutoff, stage1_screen
+from .pipeline import Dataset, _map_items, _test_one_pair, alpha_from_rate, fdr_cutoff
+from .pipeline import stage1_screen
 
 __all__ = [
     "SimConfig",
@@ -57,6 +58,10 @@ _STREAM_RESPONSE = 2
 _STREAM_PAIR_BASE = 1 << 32  # pair (j, k) uses substream base + j*p + k
 
 _LOGIT_CLAMP = 35.0  # |theta| beyond this saturates the sigmoid numerically
+_RHO = 0.5  # AR(1) correlation of neighbouring columns
+_NOISE_SD = 1.0  # gaussian response noise
+_MAIN_PROB = 0.5  # chance that a candidate variable has a main effect
+_INTERACTION_PROB = 0.75  # chance that a pair of active mains interacts
 
 
 @dataclass(frozen=True)
@@ -70,11 +75,7 @@ class SimConfig:
     seed: int
     misspecified: bool = False
     cov_kind: str = "identity"  # or "ar1"
-    rho: float = 0.5
     beta0: float | None = None  # default: -1 gaussian, -2 logistic
-    noise_sd: float = 1.0
-    main_prob: float = 0.5
-    interaction_prob: float = 0.75
     active_limit: int | None = None  # optional cap on the main-effect candidate pool
 
     def __post_init__(self):
@@ -87,8 +88,6 @@ class SimConfig:
         if self.misspecified and self.p < 3:
             raise ValueError("misspecified runs need p >= 3 (foreign variables l, u, v)")
         family_from_name(self.family)  # raises on unknown names
-        if not 0.0 <= self.main_prob <= 1.0 or not 0.0 <= self.interaction_prob <= 1.0:
-            raise ValueError("main_prob and interaction_prob must be in [0, 1]")
 
     @property
     def intercept(self) -> float:
@@ -134,16 +133,16 @@ def gen_design(config: SimConfig) -> np.ndarray:
         return z
     x = np.empty_like(z)
     x[:, 0] = z[:, 0]
-    scale = math.sqrt(1.0 - config.rho**2)
+    scale = math.sqrt(1.0 - _RHO**2)
     for j in range(1, config.p):
-        x[:, j] = config.rho * x[:, j - 1] + scale * z[:, j]
+        x[:, j] = _RHO * x[:, j - 1] + scale * z[:, j]
     return x
 
 
 def gen_truth(config: SimConfig) -> SimTruth:
-    """Draw main effects ({0, b} with probability main_prob over the
-    candidate pool), hierarchical interactions among pairs of active mains
-    (b with probability interaction_prob), and misspecification extras."""
+    """Draw main effects (b with probability 1/2 over the candidate pool,
+    else 0), hierarchical interactions among pairs of active mains (b with
+    probability 3/4), and misspecification extras."""
     rng = _stream(config.seed, _STREAM_TRUTH)
     p, b = config.p, config.b
     pool = config.candidate_pool
@@ -151,7 +150,7 @@ def gen_truth(config: SimConfig) -> SimTruth:
         candidates = tuple(sorted(int(i) for i in rng.permutation(p)[:pool]))
     else:
         candidates = tuple(range(p))
-    active_flags = rng.random(len(candidates)) < config.main_prob
+    active_flags = rng.random(len(candidates)) < _MAIN_PROB
 
     beta1 = np.zeros(p)
     actives = []
@@ -162,7 +161,7 @@ def gen_truth(config: SimConfig) -> SimTruth:
 
     beta3: dict[tuple[int, int], float] = {}
     for a, j in enumerate(actives):
-        draws = rng.random(len(actives) - a - 1) < config.interaction_prob
+        draws = rng.random(len(actives) - a - 1) < _INTERACTION_PROB
         for k, hit in zip(actives[a + 1 :], draws):
             beta3[(j, k)] = b if hit else 0.0
 
@@ -198,7 +197,7 @@ def gen_truth(config: SimConfig) -> SimTruth:
 
 def _draw_response(theta: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
     if family_from_name(config.family) is GAUSSIAN:
-        return theta + config.noise_sd * rng.standard_normal(theta.size)
+        return theta + _NOISE_SD * rng.standard_normal(theta.size)
     clipped = np.clip(theta, -_LOGIT_CLAMP, _LOGIT_CLAMP)
     prob = 1.0 / (1.0 + np.exp(-clipped))
     return (rng.random(theta.size) < prob).astype(float)
@@ -276,8 +275,6 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     truth = gen_truth(cfg)
     design = gen_design(cfg)
     y_screen = gen_response(design, truth, cfg)
-
-    rows: list[ReplicateRow] = []
     try:
         screen = stage1_screen(Dataset(x=design, y=y_screen, family=family), 0.0)
     except PairscreenError as exc:
@@ -287,24 +284,25 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
         ]
 
     # Pair statistics do not depend on alpha1 (each pair response has its
-    # own substream), so a pair tested at one alpha1 is reused at the others.
-    stat_cache: dict[tuple[int, int], float | None] = {}
-    for alpha1 in alpha1_list:
-        alpha = alpha_from_rate(alpha1, cfg.p)
-        passing = [j for j in screen.passing if abs(screen.t_stats[j]) >= alpha]
-        p1 = len(passing)
-        m_tested = p1 * (p1 - 1) // 2
-        tested = []
-        for a, j in enumerate(passing):
-            for k in passing[a + 1 :]:
-                if (j, k) not in stat_cache:
-                    y_jk = gen_pair_response(design, truth, cfg, j, k)
-                    design_jk = build_stage2_design(design[:, j], design[:, k])
-                    stat_cache[(j, k)] = _fit_outcome(design_jk, y_jk, family, INTERACTION_INDEX)[0]
-                tested.append((j, k, stat_cache[(j, k)]))
-        stats = [abs(t) for _, _, t in tested if t is not None]
-        t_hat = fdr_cutoff(stats, m_tested, cfg.p, eta)
-        rejected = [(j, k) for j, k, t in tested if t is not None and abs(t) >= t_hat]
+    # own substream), so the pairs of the widest passing set, the one at the
+    # smallest alpha1, are fitted once and masked for every alpha1.
+    alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
+    t1 = np.abs(screen.t_stats)
+    wide = np.array([j for j in screen.passing if t1[j] >= min(alphas)], dtype=int)
+    jj, kk = np.triu_indices(wide.size, 1)
+    pair_j, pair_k = wide[jj], wide[kk]
+    t = np.empty(jj.size)
+    for i, (j, k) in enumerate(zip(pair_j.tolist(), pair_k.tolist())):
+        y_jk = gen_pair_response(design, truth, cfg, j, k)
+        t[i] = _test_one_pair(design, y_jk, family, None, (j, k))[0]
+    abs_t = np.abs(t)
+    rows: list[ReplicateRow] = []
+    for alpha1, alpha in zip(alpha1_list, alphas):
+        p1 = int(np.count_nonzero(t1[wide] >= alpha))
+        tested = (t1[pair_j] >= alpha) & (t1[pair_k] >= alpha)
+        t_hat = fdr_cutoff(abs_t[tested & ~np.isnan(t)], p1 * (p1 - 1) // 2, cfg.p, eta)
+        hit = tested & (abs_t >= t_hat)
+        rejected = list(zip(pair_j[hit].tolist(), pair_k[hit].tolist()))
         power = empirical_power(rejected, truth.h1_pairs) if truth.h1_pairs else None
         metrics = ReplicateMetrics(
             fdp=empirical_fdp(rejected, truth.h1_pairs),

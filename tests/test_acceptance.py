@@ -125,11 +125,12 @@ class TestProcedureIdentities:
             data = Dataset(x=x, y=y, family=family)
             report = run_two_stage(data, 0.0, 0.1)
             m = report.p1 * (report.p1 - 1) // 2
-            t_hat_ref = _cutoff_reference(
-                [abs(t) for _, _, t in report.pairs], m, p, 0.1
-            )
-            reference = {(j, k) for j, k, t in report.pairs if abs(t) >= t_hat_ref}
-            if {(j, k) for j, k, _ in report.rejected} != reference:
+            res, ok = report.pairs, report.pairs.status == ""
+            fitted = list(zip(res.j[ok].tolist(), res.k[ok].tolist(), res.t[ok].tolist()))
+            t_hat_ref = _cutoff_reference([abs(t) for _, _, t in fitted], m, p, 0.1)
+            reference = {(j, k) for j, k, t in fitted if abs(t) >= t_hat_ref}
+            rejected = zip(res.j[report.rejected].tolist(), res.k[report.rejected].tolist())
+            if set(rejected) != reference:
                 failures += 1
         record("bh-special-case", failures == 0, f"{20 - failures}/20 datasets identical")
 

@@ -250,7 +250,8 @@ class TestAnalyzeCommand:
         doc = json.loads(out.read_text())
         lib = run_two_stage(Dataset(x=x, y=y, family=GAUSSIAN), alpha1=0.0, eta=0.1)
         got = {(rec["j"], rec["k"]) for rec in doc["pairs"] if rec["rejected"]}
-        assert got == {(j, k) for j, k, _ in lib.rejected}
+        hit = lib.rejected
+        assert got == set(zip(lib.pairs.j[hit].tolist(), lib.pairs.k[hit].tolist()))
 
     def test_p_equals_two_tests_at_most_one_pair(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -360,12 +361,13 @@ class TestAnalyzeCommand:
         one, two = run(1), run(2)
         assert one == two
         doc = json.loads(one[0])
-        outcomes = {(rec["j"], rec["k"]): (rec["t_jk"], None) for rec in doc["pairs"]}
+        outcomes = {(rec["j"], rec["k"]): (rec["t_jk"], "") for rec in doc["pairs"]}
         outcomes.update({(rec["j"], rec["k"]): (None, rec["reason"]) for rec in doc["skipped"]})
         carrier = carrier.astype(float)
         for j, k in ((0, 4), (2, 3)):
             design = build_stage2_design(carrier[:, j], carrier[:, k])
-            assert outcomes[(j, k)] == _fit_outcome(design, y, LOGISTIC, 3)
+            t, code = _fit_outcome(design, y, LOGISTIC, 3)
+            assert outcomes[(j, k)] == (None if code else t, code)
 
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -437,7 +439,15 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"eta": "0.1x"}, {"family": "poisson"}, {"workers": 2.5}, {"dominant": "yes"}],
+        [
+            {"eta": "0.1x"},
+            {"family": "poisson"},
+            {"workers": 2.5},
+            {"dominant": "yes"},
+            {"eta": 1.5},
+            {"alpha1": -0.1},
+            {"workers": 0},
+        ],
     )
     def test_bad_config_value_fails_before_loading(self, tmp_path, capsys, bad):
         cfg_path = tmp_path / "cfg.json"

@@ -43,6 +43,34 @@ def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
     return Dataset(x=x, y=y, family=family)
 
 
+def fitted_and_skipped(res):
+    """A stage-2 result as ``[(j, k, T)]`` for fitted pairs and
+    ``[(j, k, code)]`` for failed ones, both in the result's order."""
+    rows = list(zip(res.j.tolist(), res.k.tolist(), res.t.tolist(), res.status.tolist()))
+    fitted = [(j, k, t) for j, k, t, code in rows if not code]
+    return fitted, [(j, k, code) for j, k, _, code in rows if code]
+
+
+def rejected_pairs(report):
+    """The rejected ``(j, k, T)`` of a report."""
+    res, hit = report.pairs, report.rejected
+    return list(zip(res.j[hit].tolist(), res.k[hit].tolist(), res.t[hit].tolist()))
+
+
+def assert_same_pairs(a, b):
+    """Same pairs, status codes and T (NaN equal to NaN), in the same order."""
+    assert np.array_equal(a.j, b.j) and np.array_equal(a.k, b.k)
+    assert np.array_equal(a.status, b.status)
+    assert np.array_equal(a.t, b.t, equal_nan=True)
+
+
+def assert_same_report(a, b):
+    assert_same_pairs(a.pairs, b.pairs)
+    assert np.array_equal(a.rejected, b.rejected)
+    rest = [f.name for f in dataclasses.fields(a) if f.name not in ("pairs", "rejected")]
+    assert [getattr(a, name) for name in rest] == [getattr(b, name) for name in rest]
+
+
 def cutoff_condition(t, stats, m, eta):
     """Direct evaluation of the defining inequality at one point."""
     r = int(np.sum(np.abs(stats) >= t))
@@ -152,11 +180,10 @@ class TestStage2:
         data = make_dataset(rng)
         screen = stage1_screen(data, 0.0)
         empty = type(screen)(t_stats=screen.t_stats, alpha=screen.alpha, passing=(), failed={})
-        assert stage2_tests(data, empty) == stage2_tests(data, empty)
-        assert stage2_tests(data, empty).pairs == ()
+        assert_same_pairs(stage2_tests(data, empty), stage2_tests(data, empty))
+        assert fitted_and_skipped(stage2_tests(data, empty)) == ([], [])
         single = type(screen)(t_stats=screen.t_stats, alpha=screen.alpha, passing=(3,), failed={})
-        assert stage2_tests(data, single).pairs == ()
-        assert stage2_tests(data, single).skipped == ()
+        assert fitted_and_skipped(stage2_tests(data, single)) == ([], [])
 
     def test_lexicographic_pair_enumeration(self):
         rng = np.random.default_rng(5)
@@ -166,9 +193,8 @@ class TestStage2:
             t_stats=screen.t_stats, alpha=screen.alpha, passing=(0, 1, 2), failed={}
         )
         result = stage2_tests(data, three)
-        keys = [(j, k) for j, k, _ in result.pairs] + [(j, k) for j, k, _ in result.skipped]
-        assert sorted(keys) == [(0, 1), (0, 2), (1, 2)]
-        assert [(j, k) for j, k, _ in result.pairs] == sorted((j, k) for j, k, _ in result.pairs)
+        keys = list(zip(result.j.tolist(), result.k.tolist()))
+        assert keys == [(0, 1), (0, 2), (1, 2)]
 
     def test_duplicated_variable_pair_skipped(self):
         rng = np.random.default_rng(6)
@@ -177,7 +203,7 @@ class TestStage2:
         data = Dataset(x=x, y=rng.standard_normal(60), family=GAUSSIAN)
         screen = stage1_screen(data, 0.0)
         result = stage2_tests(data, screen)
-        skipped_keys = {(j, k): reason for j, k, reason in result.skipped}
+        skipped_keys = {(j, k): reason for j, k, reason in fitted_and_skipped(result)[1]}
         assert skipped_keys.get((0, 1)) == "SINGULAR_DESIGN"
 
     def test_worker_count_does_not_change_results(self):
@@ -186,7 +212,7 @@ class TestStage2:
         screen = stage1_screen(data, 0.0)
         seq = stage2_tests(data, screen, workers=1)
         par = stage2_tests(data, screen, workers=3)
-        assert seq == par
+        assert_same_pairs(seq, par)
 
 
 class TestNotConverged:
@@ -223,10 +249,11 @@ class TestNotConverged:
             and np.array_equal(v[:, 2], col_k),
         )
         report = run_two_stage(data, alpha1=0.0, eta=0.1)
-        assert report.skipped == ((1, 3, "NOT_CONVERGED"),)
-        assert (1, 3) not in {(j, k) for j, k, _ in report.pairs}
+        fitted, skipped = fitted_and_skipped(report.pairs)
+        assert skipped == [(1, 3, "NOT_CONVERGED")]
+        assert (1, 3) not in {(j, k) for j, k, _ in fitted}
         assert report.p1 == data.p
-        assert report.m_tested == data.p * (data.p - 1) // 2 == len(report.pairs) + 1
+        assert report.m_tested == data.p * (data.p - 1) // 2 == len(fitted) + 1
 
 
 @st.composite
@@ -263,7 +290,7 @@ class TestCellCounts:
             fit_outcome(build_stage1_design(data.x[:, j]), data.y, LOGISTIC, 1)
             for j in range(data.p)
         ]
-        failed = {j: code for j, (_, code) in enumerate(stage1) if code is not None}
+        failed = {j: code for j, (_, code) in enumerate(stage1) if code}
         if len(failed) == data.p:
             with pytest.raises(AllFitsFailed):
                 stage1_screen(data, alpha)
@@ -271,9 +298,9 @@ class TestCellCounts:
         screen = stage1_screen(data, alpha)
         assert screen.failed == failed
         for j, (stat, code) in enumerate(stage1):
-            if code is None:
+            if not code:
                 assert abs(screen.t_stats[j] - stat) <= 1e-10
-        passing = tuple(j for j, (t, code) in enumerate(stage1) if code is None and abs(t) >= alpha)
+        passing = tuple(j for j, (t, code) in enumerate(stage1) if not code and abs(t) >= alpha)
         assert screen.passing == passing
 
         result = stage2_tests(data, screen)
@@ -282,13 +309,14 @@ class TestCellCounts:
             for k in passing[a + 1 :]:
                 design = build_stage2_design(data.x[:, j], data.x[:, k])
                 stat, code = fit_outcome(design, data.y, LOGISTIC, 3)
-                if code is None:
+                if not code:
                     expected_pairs.append((j, k, stat))
                 else:
                     expected_skipped.append((j, k, code))
-        assert result.skipped == tuple(expected_skipped)
-        assert [(j, k) for j, k, _ in result.pairs] == [(j, k) for j, k, _ in expected_pairs]
-        for (_, _, got), (_, _, want) in zip(result.pairs, expected_pairs):
+        fitted, skipped = fitted_and_skipped(result)
+        assert skipped == expected_skipped
+        assert [(j, k) for j, k, _ in fitted] == [(j, k) for j, k, _ in expected_pairs]
+        for (_, _, got), (_, _, want) in zip(fitted, expected_pairs):
             assert abs(got - want) <= 1e-10
 
     @staticmethod
@@ -406,16 +434,14 @@ class TestRunTwoStage:
         for _ in range(10):
             data = make_dataset(rng, n=70, p=8)
             report = run_two_stage(data, 0.2, 0.1)
-            screen_pass = set()
-            for j, k, t in report.pairs:
-                screen_pass.update((j, k))
-            for j, k, t in report.rejected:
+            fitted, skipped = fitted_and_skipped(report.pairs)
+            for j, k, t in rejected_pairs(report):
                 assert abs(t) >= report.t_hat
-                assert (j, k, t) in report.pairs
-            skipped_keys = {(j, k) for j, k, _ in report.skipped}
-            rejected_keys = {(j, k) for j, k, _ in report.rejected}
+                assert (j, k, t) in fitted
+            skipped_keys = {(j, k) for j, k, _ in skipped}
+            rejected_keys = {(j, k) for j, k, _ in rejected_pairs(report)}
             assert not (skipped_keys & rejected_keys)
-            assert report.m_tested == len(report.pairs) + len(report.skipped)
+            assert report.m_tested == len(fitted) + len(skipped)
             assert 0.0 <= report.t_hat <= math.sqrt(2 * math.log(data.p)) + 1e-15
 
     def test_omega_formula(self):
@@ -440,15 +466,15 @@ class TestRunTwoStage:
             data = make_dataset(rng, n=60, p=7, family=family, signal=1.0)
             report = run_two_stage(data, 0.0, 0.1)
             assert report.p1 == data.p  # clean data: every marginal fit succeeds
-            reference = bh_reference(report.pairs, data.p, report.p1, 0.1)
-            assert {(j, k) for j, k, _ in report.rejected} == reference
+            reference = bh_reference(fitted_and_skipped(report.pairs)[0], data.p, report.p1, 0.1)
+            assert {(j, k) for j, k, _ in rejected_pairs(report)} == reference
 
     def test_strict_cutoff_subset(self):
         rng = np.random.default_rng(12)
         data = make_dataset(rng, n=80, p=8)
         loose = run_two_stage(data, 0.1, 0.2)
         strict = run_two_stage(data, 0.1, 0.2, strict_cutoff=True)
-        assert set(strict.rejected) <= set(loose.rejected)
+        assert set(rejected_pairs(strict)) <= set(rejected_pairs(loose))
         assert strict.t_hat == loose.t_hat
 
     def test_determinism(self):
@@ -456,13 +482,13 @@ class TestRunTwoStage:
         data = make_dataset(rng, n=60, p=6)
         r1 = run_two_stage(data, 0.2, 0.1)
         r2 = run_two_stage(data, 0.2, 0.1)
-        assert r1 == r2
+        assert_same_report(r1, r2)
 
     def test_workers_identical_report(self):
         rng = np.random.default_rng(14)
         data = make_dataset(rng, n=60, p=9)
-        assert run_two_stage(data, 0.0, 0.1, workers=1) == run_two_stage(
-            data, 0.0, 0.1, workers=4
+        assert_same_report(
+            run_two_stage(data, 0.0, 0.1, workers=1), run_two_stage(data, 0.0, 0.1, workers=4)
         )
 
     def test_adjust_columns_change_stage2_only_by_default(self):
@@ -479,7 +505,7 @@ class TestRunTwoStage:
         assert not np.allclose(s_adj.t_stats, s_without.t_stats)
         t_with = stage2_tests(with_adj, s_with)
         t_without = stage2_tests(without, s_without)
-        assert t_with != t_without  # adjusters do enter stage-2 designs
+        assert not np.array_equal(t_with.t, t_without.t)  # adjusters do enter stage-2 designs
 
 
 class TestTheoreticalCstar:

@@ -1,5 +1,6 @@
 """Simulation-harness tests: determinism, distributional checks, truth rules."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -7,10 +8,14 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import pairscreen.pipeline
 from pairscreen import (
+    GAUSSIAN,
     SimConfig,
     aggregate_rows,
+    fdr_cutoff,
     gen_design,
+    gen_pair_response,
     gen_response,
     gen_truth,
     run_replicates,
@@ -186,6 +191,44 @@ class TestRunReplicates:
         seq = run_replicates(cfg, [0.0, 0.2], eta=0.1, reps=4, workers=1)
         par = run_replicates(cfg, [0.0, 0.2], eta=0.1, reps=4, workers=4)
         assert seq == par
+
+    def test_alpha1_list_rows_equal_each_alpha1_run_alone(self):
+        # the pairs are fitted once per replicate and masked for each alpha1
+        cfg = base_config(n=80, p=20, b=0.6, seed=40, misspecified=True, active_limit=6)
+        alpha1_list = [0.3, 0.0, 0.1]
+        rows = run_replicates(cfg, alpha1_list, eta=0.2, reps=3)
+        for a1 in alpha1_list:
+            assert [r for r in rows if r.alpha1 == a1] == run_replicates(cfg, [a1], eta=0.2, reps=3)
+
+    def test_unconverged_pair_stays_in_m_and_is_never_rejected(self, monkeypatch):
+        cfg = base_config(n=150, p=8, b=0.8, seed=6)
+        truth, x = gen_truth(cfg), gen_design(cfg)
+        t = {}
+        for j in range(cfg.p):
+            for k in range(j + 1, cfg.p):
+                y = gen_pair_response(x, truth, cfg, j, k)
+                t[(j, k)] = pairscreen.pipeline._test_one_pair(x, y, GAUSSIAN, None, (j, k))[0]
+        j, k = max(t, key=lambda pair: abs(t[pair]))
+        (plain,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
+        assert plain.metrics.p1 == cfg.p
+        assert abs(t[(j, k)]) >= plain.metrics.t_hat  # rejected when its fit converges
+
+        real_fit = pairscreen.pipeline.fit_glm
+
+        def fit_glm(design, y, family):
+            fit = real_fit(design, y, family)
+            v = design.values
+            pair_design = v.shape[1] == 4 and np.array_equal(v[:, 1], x[:, j])
+            if pair_design and np.array_equal(v[:, 2], x[:, k]):
+                return dataclasses.replace(fit, converged=False)
+            return fit
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        (row,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
+        assert (row.metrics.p1, row.metrics.omega) == (plain.metrics.p1, plain.metrics.omega)
+        others = [abs(stat) for pair, stat in t.items() if pair != (j, k)]
+        assert row.metrics.t_hat == fdr_cutoff(others, cfg.p * (cfg.p - 1) // 2, cfg.p, 0.1)
+        assert row.metrics.rejections == sum(stat >= row.metrics.t_hat for stat in others)
 
     def test_aggregate_accounting(self):
         cfg = base_config(n=120, p=8, b=0.9, seed=3)
