@@ -28,7 +28,6 @@ from .glm import (
     build_stage2_design,
     family_from_name,
     fit_glm,
-    sandwich_covariance,
     wald_statistic,
 )
 from .metrics import ReplicateMetrics, efficiency_omega, empirical_fdp, empirical_power
@@ -82,7 +81,6 @@ __all__ = [
     "build_stage2_design",
     "family_from_name",
     "fit_glm",
-    "sandwich_covariance",
     "wald_statistic",
     "ReplicateMetrics",
     "efficiency_omega",

@@ -85,8 +85,16 @@ def _float_list(text, number=float) -> list[float]:
     return values
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise InvalidConfig, like bad config values; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise InvalidConfig(message)
+
+
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pairscreen",
         description="Two-stage pairwise-interaction testing with FDR control.",
     )
@@ -266,8 +274,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 def main(argv=None) -> int:
     parser, commands = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         args = _merge_config(args, commands[args.command])
         if args.command == "analyze":
             return _cmd_analyze(args)

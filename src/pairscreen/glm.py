@@ -31,7 +31,6 @@ __all__ = [
     "build_stage1_design",
     "build_stage2_design",
     "fit_glm",
-    "sandwich_covariance",
     "wald_statistic",
 ]
 
@@ -241,16 +240,18 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
     _check_rank(X)
 
     if family is GAUSSIAN:
-        gram = X.T @ X
-        beta = _chol_solve(gram, X.T @ yv)
-        score = X.T @ (yv - X @ beta) / n
+        beta = _chol_solve(X.T @ X, X.T @ yv)
+        mu = X @ beta
+        resid = yv - mu
+        score = X.T @ resid / n
         fit_iters, converged = 0, True
     else:
         beta = np.zeros(d)
         theta = X @ beta
-        mu = family.mean(theta)
         ll = _working_loglik(family, theta, yv)
-        score = X.T @ (yv - mu) / n
+        mu = family.mean(theta)
+        resid = yv - mu
+        score = X.T @ resid / n
         fit_iters = 0
         while np.max(np.abs(score)) > _SCORE_TARGET and fit_iters < _MAX_ITER:
             w = family.variance_from_mean(mu)
@@ -259,30 +260,31 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
             # Halve until the working log-likelihood does not decrease
             # (allowing float-noise-level wiggle so steps near the optimum,
             # where ll changes fall below machine precision, still land).
+            # After _MAX_HALVINGS rejected tries the next halving is taken as is.
             noise = 1e-12 * (1.0 + abs(ll))
             scale = 1.0
-            for _ in range(_MAX_HALVINGS):
+            for halving in range(_MAX_HALVINGS + 1):
                 cand = beta + scale * step
-                cand_ll = _working_loglik(family, X @ cand, yv)
-                if cand_ll >= ll - noise:
+                theta = X @ cand
+                cand_ll = _working_loglik(family, theta, yv)
+                if cand_ll >= ll - noise or halving == _MAX_HALVINGS:
                     break
                 scale *= 0.5
-            beta = beta + scale * step
+            beta, ll = cand, cand_ll
             if np.max(np.abs(beta)) > _SEPARATION_BOUND:
                 raise Separation(
                     f"|beta| exceeded {_SEPARATION_BOUND} during iteration "
                     "(fitted probabilities numerically 0/1)"
                 )
-            theta = X @ beta
             mu = family.mean(theta)
-            ll = _working_loglik(family, theta, yv)
-            score = X.T @ (yv - mu) / n
+            resid = yv - mu
+            score = X.T @ resid / n
             fit_iters += 1
         converged = bool(np.max(np.abs(score)) <= _SCORE_CONTRACT)
-        if converged and np.max(np.abs(yv - mu)) < 1e-6:
+        if converged and np.max(np.abs(resid)) < 1e-6:
             raise Separation("fit classifies every observation to within 1e-6")
 
-    cov, model_cov = _sandwich_and_model_cov(X, yv, family, beta)
+    cov, model_cov = _sandwich_and_model_cov(X, resid, family.variance_from_mean(mu))
     return GlmFit(
         beta_hat=beta,
         sandwich_cov=cov,
@@ -294,11 +296,10 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
     )
 
 
-def _sandwich_and_model_cov(X, yv, family, beta):
+def _sandwich_and_model_cov(X, resid, w):
+    """A^-1 B A^-1 and A^-1, with A = mean(w x x^T) for the variance weights
+    ``w = b''(theta)`` and B = mean(resid^2 x x^T)."""
     n = X.shape[0]
-    theta = X @ beta
-    w = family.variance(theta)
-    resid = yv - family.mean(theta)
     a_mat = (X.T * w) @ X / n
     b_mat = (X.T * resid**2) @ X / n
     try:
@@ -308,15 +309,6 @@ def _sandwich_and_model_cov(X, yv, family, beta):
     a_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(X.shape[1])))
     cov = a_inv @ b_mat @ a_inv
     return (cov + cov.T) / 2.0, (a_inv + a_inv.T) / 2.0
-
-
-def sandwich_covariance(design: DesignMatrix, y, family: Family, beta_hat) -> np.ndarray:
-    """A^-1 B A^-1 with A = mean(b''(theta) x x^T), B = mean((y-b'(theta))^2 x x^T)."""
-    X = design.values
-    yv = _as_vector(y, "y")
-    beta = _as_vector(beta_hat, "beta_hat")
-    cov, _ = _sandwich_and_model_cov(X, yv, family, beta)
-    return cov
 
 
 def wald_statistic(fit: GlmFit, coef_index: int, n: int | None = None) -> WaldStat:

@@ -1,16 +1,18 @@
 """Empirical FDP, power, and computational-efficiency metrics.
 
-These compare a rejection set against the simulation ground truth.  The
-false discovery proportion divides false rejections by max(#rejections, 1);
-power divides recovered alternatives by the number of alternatives and is
-undefined when there are none (callers must skip such replicates rather
-than count them as zero).
+These compare a rejection mask against the simulation ground truth's H1
+mask over the same pairs.  The false discovery proportion divides false
+rejections by max(#rejections, 1); power divides recovered alternatives by
+the number of alternatives and is undefined when there are none (callers
+must skip such replicates rather than count them as zero).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "ReplicateMetrics",
@@ -32,30 +34,27 @@ class ReplicateMetrics:
     rejections: int
 
 
-def _as_pair_set(pairs) -> set[tuple[int, int]]:
-    out = set()
-    for j, k in pairs:
-        if not j < k:
-            raise ValueError(f"pairs must satisfy j < k, got ({j}, {k})")
-        out.add((int(j), int(k)))
-    return out
+def _masks(rejected, h1) -> tuple[np.ndarray, np.ndarray]:
+    rejected, h1 = np.asarray(rejected, dtype=bool), np.asarray(h1, dtype=bool)
+    if rejected.shape != h1.shape:
+        raise ValueError(f"mask shapes differ: {rejected.shape} vs {h1.shape}")
+    return rejected, h1
 
 
-def empirical_fdp(rejected, h1_pairs) -> float:
-    """|rejected ∩ H0| / max(|rejected|, 1) with H0 the complement of h1_pairs."""
-    rej = _as_pair_set(rejected)
-    h1 = _as_pair_set(h1_pairs)
-    false_rejections = len(rej - h1)
-    return false_rejections / max(len(rej), 1)
+def empirical_fdp(rejected, h1) -> float:
+    """|rejected ∩ H0| / max(|rejected|, 1) with H0 the pairs outside ``h1``;
+    ``rejected`` and ``h1`` are boolean masks over the same pairs."""
+    rejected, h1 = _masks(rejected, h1)
+    return int(np.count_nonzero(rejected & ~h1)) / max(int(np.count_nonzero(rejected)), 1)
 
 
-def empirical_power(rejected, h1_pairs) -> float:
-    """Fraction of true-alternative pairs rejected; requires |H1| >= 1."""
-    rej = _as_pair_set(rejected)
-    h1 = _as_pair_set(h1_pairs)
-    if not h1:
+def empirical_power(rejected, h1) -> float:
+    """Fraction of true-alternative pairs rejected; requires |H1| >= 1.
+    ``rejected`` and ``h1`` are boolean masks over the same pairs."""
+    rejected, h1 = _masks(rejected, h1)
+    if not h1.any():
         raise ValueError("power is undefined when H1 is empty")
-    return len(rej & h1) / len(h1)
+    return int(np.count_nonzero(rejected & h1)) / int(np.count_nonzero(h1))
 
 
 def efficiency_omega(p: int, p1: int) -> float:

@@ -315,6 +315,23 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     return t_max
 
 
+def _cutoff_and_reject(t1, alpha: float, pairs: PairTestResult, p: int, eta: float, strict=False):
+    """The decision step after the fits: returns ``(p1, t_hat, rejected)``.
+
+    Variables with stage-1 ``|T1| >= alpha`` pass (NaN never does); their
+    pairs are tested, ``M = p1 (p1 - 1) / 2``, and ``t_hat`` is the cutoff
+    over the tested pairs whose fits succeeded.  ``rejected`` masks
+    ``pairs``, which may include untested pairs: tested and ``|T| >= t_hat``
+    (``>`` when strict).
+    """
+    passes = np.abs(t1) >= alpha
+    p1 = int(np.count_nonzero(passes))
+    tested = passes[pairs.j] & passes[pairs.k]
+    abs_t = np.abs(pairs.t)
+    t_hat = fdr_cutoff(abs_t[tested & (pairs.status == "")], p1 * (p1 - 1) // 2, p, eta)
+    return p1, t_hat, tested & (abs_t > t_hat if strict else abs_t >= t_hat)
+
+
 def run_two_stage(
     data: Dataset,
     alpha1: float,
@@ -330,17 +347,15 @@ def run_two_stage(
     alpha = alpha_from_rate(alpha1, data.p)
     screen = stage1_screen(data, alpha, adjust_in_stage1=adjust_in_stage1)
     pairs = stage2_tests(data, screen, workers=workers)
-    p1 = len(screen.passing)
-    m_tested = p1 * (p1 - 1) // 2
-    abs_t = np.abs(pairs.t)
-    t_hat = fdr_cutoff(abs_t[pairs.status == ""], m_tested, data.p, eta)
-    rejected = abs_t > t_hat if strict_cutoff else abs_t >= t_hat
+    p1, t_hat, rejected = _cutoff_and_reject(
+        screen.t_stats, alpha, pairs, data.p, eta, strict_cutoff
+    )
     return FdrReport(
         t_hat=t_hat,
         eta=float(eta),
         alpha=alpha,
         alpha1=float(alpha1),
-        m_tested=m_tested,
+        m_tested=p1 * (p1 - 1) // 2,
         p1=p1,
         p=data.p,
         n=data.n,

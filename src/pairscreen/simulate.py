@@ -32,11 +32,12 @@ import numpy as np
 
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
-# the benchmark's trace hooks patch these three names here
-from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .metrics import ReplicateMetrics, efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import Dataset, _map_items, _test_one_pair, alpha_from_rate, fdr_cutoff
-from .pipeline import stage1_screen
+from .pipeline import Dataset, PairTestResult, _cutoff_and_reject, _map_items, _test_one_pair
+from .pipeline import alpha_from_rate
+# the benchmark's trace hooks patch these names here
+from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
+from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
 
 __all__ = [
     "SimConfig",
@@ -87,6 +88,8 @@ class SimConfig:
             raise ValueError(f"cov_kind must be 'identity' or 'ar1', got {self.cov_kind!r}")
         if self.misspecified and self.p < 3:
             raise ValueError("misspecified runs need p >= 3 (foreign variables l, u, v)")
+        if self.active_limit is not None and self.active_limit < 0:
+            raise ValueError(f"active_limit must be >= 0, got {self.active_limit}")
         family_from_name(self.family)  # raises on unknown names
 
     @property
@@ -95,26 +98,24 @@ class SimConfig:
             return self.beta0
         return -1.0 if family_from_name(self.family) is GAUSSIAN else -2.0
 
-    @property
-    def candidate_pool(self) -> int:
-        if self.active_limit is None:
-            return self.p
-        return min(self.active_limit, self.p)
-
 
 @dataclass(frozen=True)
 class SimTruth:
-    """Ground-truth coefficients and H1 bookkeeping for one replicate.
+    """Ground truth for one replicate.  The pair fields are p x p arrays
+    indexed by ``(j, k)`` with ``j < k``; entries with ``j >= k`` are zero.
 
-    ``beta3`` maps every pair of active mains to its drawn coefficient;
-    pairs absent from the map have a zero interaction.  ``extras`` is
-    populated for every pair in the misspecified variant.
+    ``beta3`` holds the drawn interaction coefficients (zero unless both
+    mains are active) and ``h1`` marks the pairs where it is nonzero.
+    ``extra_vars[j, k]`` are the foreign variables (l, u, v) and
+    ``extra_coef[j, k]`` the coefficients (beta4, beta5) of the
+    misspecified variant; ``extra_coef`` is zero otherwise.
     """
 
     beta1: np.ndarray  # entries in {0, b}
-    beta3: dict[tuple[int, int], float]
-    extras: dict[tuple[int, int], tuple[int, int, int, float, float]]
-    h1_pairs: frozenset[tuple[int, int]]
+    beta3: np.ndarray  # (p, p)
+    h1: np.ndarray  # (p, p) bool
+    extra_vars: np.ndarray  # (p, p, 3) int
+    extra_coef: np.ndarray  # (p, p, 2)
     candidates: tuple[int, ...]
 
 
@@ -145,52 +146,39 @@ def gen_truth(config: SimConfig) -> SimTruth:
     probability 3/4), and misspecification extras."""
     rng = _stream(config.seed, _STREAM_TRUTH)
     p, b = config.p, config.b
-    pool = config.candidate_pool
-    if pool < p:
-        candidates = tuple(sorted(int(i) for i in rng.permutation(p)[:pool]))
+    limit = config.active_limit
+    if limit is not None and limit < p:
+        candidates = tuple(sorted(int(i) for i in rng.permutation(p)[:limit]))
     else:
         candidates = tuple(range(p))
     active_flags = rng.random(len(candidates)) < _MAIN_PROB
-
+    actives = np.array(candidates, dtype=int)[active_flags]
     beta1 = np.zeros(p)
-    actives = []
-    for j, flag in zip(candidates, active_flags):
-        if flag:
-            beta1[j] = b
-            actives.append(j)
+    beta1[actives] = b
 
-    beta3: dict[tuple[int, int], float] = {}
+    beta3 = np.zeros((p, p))
     for a, j in enumerate(actives):
-        draws = rng.random(len(actives) - a - 1) < _INTERACTION_PROB
-        for k, hit in zip(actives[a + 1 :], draws):
-            beta3[(j, k)] = b if hit else 0.0
+        draws = rng.random(actives.size - a - 1) < _INTERACTION_PROB
+        beta3[j, actives[a + 1 :]] = np.where(draws, b, 0.0)
 
-    h1 = frozenset(pair for pair, coef in beta3.items() if coef != 0.0)
-
-    extras: dict[tuple[int, int], tuple[int, int, int, float, float]] = {}
+    extra_vars = np.zeros((p, p, 3), dtype=int)
+    extra_coef = np.zeros((p, p, 2))
     if config.misspecified:
         for j in range(p - 1):
-            luv = rng.integers(0, p - 2, size=3 * (p - 1 - j))
-            coef_draws = rng.random(2 * (p - 1 - j)) < 0.5
-            for idx, k in enumerate(range(j + 1, p)):
-                picks = []
-                for raw in luv[3 * idx : 3 * idx + 3]:
-                    v = int(raw)
-                    # shift past j and k to land outside the tested pair
-                    if v >= j:
-                        v += 1
-                    if v >= k:
-                        v += 1
-                    picks.append(v)
-                b4 = b if coef_draws[2 * idx] else 0.0
-                b5 = b if coef_draws[2 * idx + 1] else 0.0
-                extras[(j, k)] = (picks[0], picks[1], picks[2], b4, b5)
+            k = np.arange(j + 1, p)
+            luv = rng.integers(0, p - 2, size=3 * k.size).reshape(-1, 3)
+            coef_draws = rng.random(2 * k.size).reshape(-1, 2) < 0.5
+            # shift past j and k to land outside the tested pair
+            luv = luv + (luv >= j)
+            extra_vars[j, j + 1 :] = luv + (luv >= k[:, None])
+            extra_coef[j, j + 1 :] = np.where(coef_draws, b, 0.0)
 
     return SimTruth(
         beta1=beta1,
         beta3=beta3,
-        extras=extras,
-        h1_pairs=h1,
+        h1=beta3 != 0.0,
+        extra_vars=extra_vars,
+        extra_coef=extra_coef,
         candidates=candidates,
     )
 
@@ -219,15 +207,13 @@ def pair_predictor(design: np.ndarray, truth: SimTruth, config: SimConfig, j: in
         config.intercept
         + truth.beta1[j] * design[:, j]
         + truth.beta1[k] * design[:, k]
-        + truth.beta3.get((j, k), 0.0) * design[:, j] * design[:, k]
+        + truth.beta3[j, k] * design[:, j] * design[:, k]
     )
-    extra = truth.extras.get((j, k))
-    if extra is not None:
-        l, u, v, b4, b5 = extra
-        if b4 != 0.0:
-            theta = theta + b4 * design[:, l]
-        if b5 != 0.0:
-            theta = theta + b5 * design[:, u] * design[:, v]
+    (l, u, v), (b4, b5) = truth.extra_vars[j, k], truth.extra_coef[j, k]
+    if b4 != 0.0:
+        theta = theta + b4 * design[:, l]
+    if b5 != 0.0:
+        theta = theta + b5 * design[:, u] * design[:, v]
     return theta
 
 
@@ -287,30 +273,26 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     # own substream), so the pairs of the widest passing set, the one at the
     # smallest alpha1, are fitted once and masked for every alpha1.
     alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
-    t1 = np.abs(screen.t_stats)
-    wide = np.array([j for j in screen.passing if t1[j] >= min(alphas)], dtype=int)
+    wide = np.flatnonzero(np.abs(screen.t_stats) >= min(alphas))
     jj, kk = np.triu_indices(wide.size, 1)
-    pair_j, pair_k = wide[jj], wide[kk]
-    t = np.empty(jj.size)
-    for i, (j, k) in enumerate(zip(pair_j.tolist(), pair_k.tolist())):
+    pairs = PairTestResult(
+        j=wide[jj], k=wide[kk], t=np.full(jj.size, np.nan), status=np.full(jj.size, "", object)
+    )
+    for i, (j, k) in enumerate(zip(pairs.j.tolist(), pairs.k.tolist())):
         y_jk = gen_pair_response(design, truth, cfg, j, k)
-        t[i] = _test_one_pair(design, y_jk, family, None, (j, k))[0]
-    abs_t = np.abs(t)
+        pairs.t[i], pairs.status[i] = _test_one_pair(design, y_jk, family, None, (j, k))
     rows: list[ReplicateRow] = []
     for alpha1, alpha in zip(alpha1_list, alphas):
-        p1 = int(np.count_nonzero(t1[wide] >= alpha))
-        tested = (t1[pair_j] >= alpha) & (t1[pair_k] >= alpha)
-        t_hat = fdr_cutoff(abs_t[tested & ~np.isnan(t)], p1 * (p1 - 1) // 2, cfg.p, eta)
-        hit = tested & (abs_t >= t_hat)
-        rejected = list(zip(pair_j[hit].tolist(), pair_k[hit].tolist()))
-        power = empirical_power(rejected, truth.h1_pairs) if truth.h1_pairs else None
+        p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)
+        rejected = np.zeros_like(truth.h1)
+        rejected[pairs.j[hit], pairs.k[hit]] = True
         metrics = ReplicateMetrics(
-            fdp=empirical_fdp(rejected, truth.h1_pairs),
-            power=power,
+            fdp=empirical_fdp(rejected, truth.h1),
+            power=empirical_power(rejected, truth.h1) if truth.h1.any() else None,
             omega=efficiency_omega(cfg.p, p1),
             p1=p1,
             t_hat=t_hat,
-            rejections=len(rejected),
+            rejections=int(np.count_nonzero(hit)),
         )
         rows.append(ReplicateRow(alpha1=alpha1, rep=rep, seed=cfg.seed, metrics=metrics))
     return rows

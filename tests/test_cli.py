@@ -466,6 +466,32 @@ class TestAnalyzeCommand:
         assert err.startswith("error INVALID_CONFIG: ")
         assert repr(next(iter(bad))) in err
 
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            (["--eta", "1.5"], "'1.5'"),
+            (["--eta", "abc"], "'abc'"),
+            (["--workers", "-2"], "'-2'"),
+            (["--family", "poisson"], "'poisson'"),
+            (["--no-such-flag"], "--no-such-flag"),
+        ],
+    )
+    def test_bad_flag_fails_before_loading(self, tmp_path, capsys, bad, shown):
+        missing = str(tmp_path / "missing.csv")
+        argv = ["analyze", "--x", missing, "--y", missing, "--family", "gaussian",
+                "--alpha1", "0.1", "--eta", "0.1", "--out", str(tmp_path / "r.json")]
+        assert main(argv + bad) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error INVALID_CONFIG: ")
+        assert shown in captured.err and "usage:" not in captured.err + captured.out
+        assert not (tmp_path / "r.json").exists()
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--help"])
+        assert exc.value.code == 0
+        assert "--strict-cutoff" in capsys.readouterr().out
+
 
 class TestSimulateCommand:
     def run_sim(self, tmp_path, name="m.csv", extra=()):

@@ -21,7 +21,6 @@ from pairscreen import (
     build_stage2_design,
     family_from_name,
     fit_glm,
-    sandwich_covariance,
     wald_statistic,
 )
 
@@ -228,7 +227,7 @@ class TestSandwich:
             from pairscreen import DesignMatrix
 
             design = DesignMatrix(X, tuple(f"c{i}" for i in range(X.shape[1])))
-            cov = sandwich_covariance(design, y, GAUSSIAN, fit_glm(design, y, GAUSSIAN).beta_hat)
+            cov = fit_glm(design, y, GAUSSIAN).sandwich_cov
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
             eigvals = np.linalg.eigvalsh(cov)
             assert eigvals.min() >= -1e-8

@@ -7,48 +7,55 @@ from pairscreen import efficiency_omega, empirical_fdp, empirical_power
 from pairscreen.metrics import mean_and_se
 
 
+def mask(*pairs, p=8):
+    """Boolean p x p mask with the given (j, k) pairs set."""
+    out = np.zeros((p, p), dtype=bool)
+    for j, k in pairs:
+        out[j, k] = True
+    return out
+
+
 class TestFdp:
     def test_no_rejections_is_zero(self):
-        assert empirical_fdp([], {(1, 2)}) == 0.0
+        assert empirical_fdp(mask(), mask((1, 2))) == 0.0
 
     def test_half_false(self):
-        assert empirical_fdp({(1, 2), (3, 4)}, {(1, 2)}) == 0.5
+        assert empirical_fdp(mask((1, 2), (3, 4)), mask((1, 2))) == 0.5
 
     def test_all_true_is_zero(self):
-        assert empirical_fdp({(1, 2), (2, 5)}, {(1, 2), (2, 5), (3, 7)}) == 0.0
+        assert empirical_fdp(mask((1, 2), (2, 5)), mask((1, 2), (2, 5), (3, 7))) == 0.0
 
     def test_precision_consistency(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
-            pairs = {(int(j), int(j + k + 1)) for j, k in rng.integers(0, 12, size=(20, 2))}
-            h1 = {pair for pair in pairs if rng.random() < 0.4}
-            rejected = {pair for pair in pairs if rng.random() < 0.5}
-            if not rejected:
+            h1 = rng.random(20) < 0.4
+            rejected = rng.random(20) < 0.5
+            if not rejected.any():
                 continue
             fdp = empirical_fdp(rejected, h1)
-            precision = len(rejected & h1) / len(rejected)
+            precision = np.count_nonzero(rejected & h1) / np.count_nonzero(rejected)
             assert fdp == pytest.approx(1.0 - precision, abs=1e-15)
 
-    def test_rejects_malformed_pairs(self):
+    def test_rejects_masks_of_different_shapes(self):
         with pytest.raises(ValueError):
-            empirical_fdp({(3, 2)}, set())
+            empirical_fdp(mask(p=4), mask(p=5))
 
 
 class TestPower:
     def test_full_recovery(self):
-        h1 = {(0, 1), (2, 3)}
-        assert empirical_power(h1 | {(4, 5)}, h1) == 1.0
+        h1 = mask((0, 1), (2, 3))
+        assert empirical_power(h1 | mask((4, 5)), h1) == 1.0
 
     def test_no_recovery(self):
-        assert empirical_power({(4, 5)}, {(0, 1)}) == 0.0
+        assert empirical_power(mask((4, 5)), mask((0, 1))) == 0.0
 
     def test_half_recovery(self):
-        h1 = {(0, 1), (1, 2), (2, 3), (3, 4)}
-        assert empirical_power({(0, 1), (2, 3)}, h1) == 0.5
+        h1 = mask((0, 1), (1, 2), (2, 3), (3, 4))
+        assert empirical_power(mask((0, 1), (2, 3)), h1) == 0.5
 
     def test_undefined_when_no_alternatives(self):
         with pytest.raises(ValueError):
-            empirical_power({(0, 1)}, set())
+            empirical_power(mask((0, 1)), mask())
 
 
 class TestOmega:

@@ -21,6 +21,7 @@ from pairscreen import (
     LOGISTIC,
     AllFitsFailed,
     Dataset,
+    PairTestResult,
     build_stage1_design,
     build_stage2_design,
     alpha_from_rate,
@@ -426,6 +427,51 @@ class TestFdrCutoff:
             m = stats.size + int(rng.integers(0, 5))
             t_hat = fdr_cutoff(stats, m, p, 0.05)
             assert 0.0 <= t_hat <= math.sqrt(2 * math.log(p)) + 1e-15
+
+
+def all_pairs(p, t, status=()):
+    """PairTestResult over every pair of p variables; ``status`` maps an
+    index to a failure code (its T becomes NaN)."""
+    jj, kk = np.triu_indices(p, 1)
+    t = np.array(t, dtype=float)
+    codes = np.full(jj.size, "", dtype=object)
+    for i, code in dict(status).items():
+        t[i], codes[i] = math.nan, code
+    return PairTestResult(j=jj, k=kk, t=t, status=codes)
+
+
+class TestCutoffAndReject:
+    cutoff_and_reject = staticmethod(pairscreen.pipeline._cutoff_and_reject)
+    # pairs of 5 variables: (0,1) (0,2) (0,3) (0,4) (1,2) (1,3) (1,4) (2,3) (2,4) (3,4)
+    T1 = np.array([2.0, -1.5, 1.0, 0.5, np.nan])
+    T = [4.0, -3.5, 9.0, 8.0, 0.2, 8.5, 7.0, 9.5, 6.0, 7.5]
+
+    def test_pairs_outside_the_passing_set_are_neither_counted_nor_rejected(self):
+        # at alpha = 1 variables 0, 1, 2 pass; pair (1, 2) failed its fit
+        pairs = all_pairs(5, self.T, {4: "SINGULAR_DESIGN"})
+        p1, t_hat, rejected = self.cutoff_and_reject(self.T1, 1.0, pairs, 5, 0.2)
+        assert p1 == 3
+        assert t_hat == fdr_cutoff([4.0, 3.5], 3, 5, 0.2)
+        assert rejected.tolist() == [True, True] + [False] * 8
+
+    def test_nan_stage1_statistic_never_passes(self):
+        pairs = all_pairs(5, self.T)
+        p1, t_hat, rejected = self.cutoff_and_reject(self.T1, 0.0, pairs, 5, 0.2)
+        assert p1 == 4
+        tested = pairs.k != 4
+        assert t_hat == fdr_cutoff(np.abs(pairs.t[tested]), 6, 5, 0.2)
+        assert not rejected[~tested].any()
+
+    def test_strict_uses_greater_than(self):
+        # infeasible everywhere: t_hat is the cap, which pair (0, 1) hits exactly
+        t_max = math.sqrt(2.0 * math.log(3))
+        pairs = all_pairs(3, [t_max, 0.1, 0.1])
+        t1 = np.ones(3)
+        loose = self.cutoff_and_reject(t1, 0.5, pairs, 3, 0.05)
+        strict = self.cutoff_and_reject(t1, 0.5, pairs, 3, 0.05, strict=True)
+        assert loose[1] == strict[1] == t_max
+        assert loose[2].tolist() == [True, False, False]
+        assert strict[2].tolist() == [False, False, False]
 
 
 class TestRunTwoStage:

@@ -70,15 +70,15 @@ class TestGenDesign:
 class TestGenTruth:
     def test_b_zero_has_no_alternatives(self):
         truth = gen_truth(base_config(b=0.0))
-        assert truth.h1_pairs == frozenset()
+        assert not truth.h1.any()
         assert np.all(truth.beta1 == 0.0)
-        assert all(v == 0.0 for v in truth.beta3.values())
+        assert np.all(truth.beta3 == 0.0)
 
     def test_hierarchical_rule(self):
         for seed in range(40):
             cfg = base_config(p=30, seed=seed, b=0.7)
             truth = gen_truth(cfg)
-            for j, k in truth.h1_pairs:
+            for j, k in zip(*np.nonzero(truth.h1)):
                 assert truth.beta1[j] == cfg.b
                 assert truth.beta1[k] == cfg.b
                 assert j < k
@@ -88,8 +88,9 @@ class TestGenTruth:
         active = 0
         for seed in range(120):
             truth = gen_truth(base_config(p=60, seed=seed, b=0.4, active_limit=20))
-            drawn += len(truth.beta3)
-            active += len(truth.h1_pairs)
+            a = np.count_nonzero(truth.beta1)
+            drawn += a * (a - 1) // 2
+            active += np.count_nonzero(truth.h1)
         assert drawn > 500
         assert active / drawn == pytest.approx(0.75, abs=0.05)
 
@@ -100,12 +101,14 @@ class TestGenTruth:
         assert np.count_nonzero(truth.beta1) <= 12
 
     def test_extras_only_when_misspecified(self):
-        assert gen_truth(base_config(b=0.5)).extras == {}
+        assert not gen_truth(base_config(b=0.5)).extra_coef.any()
         cfg = base_config(b=0.5, misspecified=True, cov_kind="ar1", p=30, seed=5)
         truth = gen_truth(cfg)
-        all_pairs = {(j, k) for j in range(30) for k in range(j + 1, 30)}
-        assert set(truth.extras) == all_pairs
-        for (j, k), (l, u, v, b4, b5) in truth.extras.items():
+        below = np.tril_indices(30)
+        assert not truth.extra_vars[below].any() and not truth.extra_coef[below].any()
+        for j, k in zip(*np.triu_indices(30, 1)):
+            l, u, v = truth.extra_vars[j, k]
+            b4, b5 = truth.extra_coef[j, k]
             assert {l, u, v}.isdisjoint({j, k})
             assert 0 <= min(l, u, v) and max(l, u, v) < 30
             assert b4 in (0.0, cfg.b) and b5 in (0.0, cfg.b)
@@ -113,9 +116,36 @@ class TestGenTruth:
     def test_determinism(self):
         cfg = base_config(misspecified=True, seed=77)
         t1, t2 = gen_truth(cfg), gen_truth(cfg)
-        assert np.array_equal(t1.beta1, t2.beta1)
-        assert t1.beta3 == t2.beta3
-        assert t1.extras == t2.extras
+        for name in ("beta1", "beta3", "h1", "extra_vars", "extra_coef"):
+            assert np.array_equal(getattr(t1, name), getattr(t2, name))
+
+    def test_draws_are_pinned(self):
+        # pinned values: a reordered or resized draw changes them
+        cfg = base_config(p=6, b=0.5, seed=5, misspecified=True, cov_kind="ar1")
+        truth = gen_truth(cfg)
+        assert truth.beta1.tolist() == [0.0, 0.0, 0.5, 0.5, 0.5, 0.0]
+        assert list(zip(*np.nonzero(truth.h1))) == [(2, 3)]
+        assert truth.beta3[2, 3] == 0.5 and np.count_nonzero(truth.beta3) == 1
+        extras = {
+            (0, 1): (3, 2, 2, 0.0, 0.0), (0, 2): (1, 4, 5, 0.0, 0.5),
+            (0, 3): (1, 1, 1, 0.5, 0.5), (0, 4): (1, 1, 5, 0.0, 0.5),
+            (0, 5): (2, 1, 1, 0.0, 0.0), (1, 2): (5, 3, 0, 0.5, 0.5),
+            (1, 3): (2, 5, 2, 0.0, 0.5), (1, 4): (0, 3, 5, 0.0, 0.0),
+            (1, 5): (0, 0, 4, 0.5, 0.5), (2, 3): (1, 5, 0, 0.0, 0.5),
+            (2, 4): (5, 5, 3, 0.5, 0.5), (2, 5): (4, 3, 4, 0.5, 0.5),
+            (3, 4): (0, 0, 5, 0.0, 0.0), (3, 5): (1, 4, 2, 0.5, 0.5),
+            (4, 5): (0, 1, 3, 0.5, 0.0),
+        }
+        for (j, k), expected in extras.items():
+            got = (*truth.extra_vars[j, k].tolist(), *truth.extra_coef[j, k].tolist())
+            assert got == expected, (j, k)
+
+    def test_candidate_draws_are_pinned(self):
+        # pinned values: a reordered or resized draw changes them
+        truth = gen_truth(base_config(p=10, b=0.5, seed=3, active_limit=4))
+        assert truth.candidates == (1, 4, 6, 8)
+        assert truth.beta1.tolist() == [0.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0]
+        assert list(zip(*np.nonzero(truth.h1))) == [(1, 8)]
 
 
 class TestGenResponse:
@@ -251,6 +281,8 @@ class TestConfigValidation:
             base_config(cov_kind="toeplitz")
         with pytest.raises(ValueError):
             base_config(family="poisson")
+        with pytest.raises(ValueError):
+            base_config(active_limit=-3)
 
     def test_default_intercepts(self):
         assert base_config(family="gaussian").intercept == -1.0
