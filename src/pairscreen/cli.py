@@ -122,7 +122,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ps.add_argument("--family", choices=["gaussian", "logistic"], help="generating family")
     ps.add_argument("--n", type=int, help="sample size")
     ps.add_argument("--p", type=int, help="number of variables")
-    ps.add_argument("--b", type=_float_list, help="signal sizes, comma separated")
+    ps.add_argument("--b", type=functools.partial(_float_list, number=_rate),
+                    help="signal sizes, comma separated")
     ps.add_argument("--alpha1", type=functools.partial(_float_list, number=_rate),
                     help="stage-1 rates, comma separated (0 = BH baseline)")
     ps.add_argument("--eta", type=_eta, help="target FDR level in (0, 1)")
@@ -212,14 +213,15 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _metric_cell(value) -> str:
-    return "" if value is None else format_number(value)
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else format_number(value)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, ["family", "n", "p", "b", "alpha1", "eta", "reps", "seed", "out"])
-    out_rows: list[dict] = []
-    aggregates: list[dict] = []
+    rows, aggregates = [], []
     for b in args.b:
         config = SimConfig(
             n=args.n,
@@ -232,43 +234,14 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             beta0=args.beta0,
             active_limit=args.active_limit,
         )
-        rows = run_replicates(config, args.alpha1, args.eta, args.reps, workers=args.workers or 1)
-        for row in rows:
-            metrics = dataclasses.asdict(row.metrics) if row.metrics else {}
-            out_rows.append(
-                {
-                    **{name: _metric_cell(value) for name, value in metrics.items()},
-                    "alpha1": format_number(row.alpha1),
-                    "b": format_number(b),
-                    "rep": str(row.rep),
-                    "seed": str(row.seed),
-                    "error": row.error or "",
-                }
-            )
-        for agg in aggregate_rows(rows):
-            aggregates.append(
-                {
-                    "alpha1": format_number(agg.alpha1),
-                    "b": format_number(b),
-                    "rep": "mean",
-                    "fdp": _metric_cell(agg.fdp_mean),
-                    "power": _metric_cell(agg.power_mean),
-                    "omega": _metric_cell(agg.omega_mean),
-                    "p1": _metric_cell(agg.p1_mean),
-                    "t_hat": _metric_cell(agg.t_hat_mean),
-                    "rejections": _metric_cell(agg.rejections_mean),
-                    "seed": str(args.seed),
-                    "fdp_se": _metric_cell(agg.fdp_se),
-                    "power_se": _metric_cell(agg.power_se),
-                    "power_reps": str(agg.power_reps),
-                    "failed_reps": str(agg.failed),
-                }
-            )
+        b_rows = run_replicates(config, args.alpha1, args.eta, args.reps, workers=args.workers or 1)
+        rows += b_rows
+        aggregates += aggregate_rows(b_rows)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.DictWriter(fh, _METRICS_COLUMNS, restval="", lineterminator="\n")
         writer.writeheader()
-        writer.writerows(out_rows)
-        writer.writerows(aggregates)
+        for row in rows + aggregates:
+            writer.writerow({name: _cell(value) for name, value in dataclasses.asdict(row).items()})
     return 0
 
 

@@ -19,7 +19,9 @@ __all__ = ["load_csv_matrix", "write_csv_matrix", "dominant_encode", "format_num
 
 
 def format_number(value) -> str:
-    """Round-trip-exact text for a float; integers stay integral."""
+    """Round-trip-exact text for a number; integers stay integral."""
+    if isinstance(value, int):
+        return str(value)
     f = float(value)
     if f.is_integer() and abs(f) < 1e16:
         return str(int(f))

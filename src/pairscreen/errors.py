@@ -6,6 +6,17 @@ report failures on stderr in a scriptable way.
 
 from __future__ import annotations
 
+__all__ = [
+    "PairscreenError",
+    "SingularDesign",
+    "Separation",
+    "DegenerateVariance",
+    "AllFitsFailed",
+    "ParseError",
+    "EmptyInput",
+    "InvalidConfig",
+]
+
 
 class PairscreenError(Exception):
     """Base class for all library errors."""

@@ -21,13 +21,8 @@ import numpy as np
 from .errors import DegenerateVariance, Separation, SingularDesign
 
 __all__ = [
-    "Family",
     "GAUSSIAN",
     "LOGISTIC",
-    "family_from_name",
-    "DesignMatrix",
-    "GlmFit",
-    "WaldStat",
     "build_stage1_design",
     "build_stage2_design",
     "fit_glm",
@@ -59,9 +54,6 @@ class Family:
     mean: Callable[[np.ndarray], np.ndarray]
     variance_from_mean: Callable[[np.ndarray], np.ndarray]
     binary: bool
-
-    def variance(self, theta: np.ndarray) -> np.ndarray:
-        return self.variance_from_mean(self.mean(theta))
 
     def validate_response(self, y: np.ndarray) -> None:
         if self.binary and not np.isin(y, (0.0, 1.0)).all():
@@ -100,28 +92,17 @@ def family_from_name(name: str) -> Family:
 
 @dataclass(frozen=True)
 class DesignMatrix:
-    """Dense n x d design with column labels; first column is the intercept
+    """Dense, finite, nonempty n x d design; first column is the intercept
     when built by the stage builders."""
 
     values: np.ndarray
-    labels: tuple[str, ...]
 
     def __post_init__(self):
         v = self.values
         if v.ndim != 2 or v.shape[1] < 1 or v.shape[0] < 1:
             raise ValueError(f"design must be a nonempty n x d matrix, got shape {v.shape}")
-        if len(self.labels) != v.shape[1]:
-            raise ValueError("label count must match column count")
         if not np.isfinite(v).all():
             raise ValueError("design entries must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -142,15 +123,6 @@ class GlmFit:
     n: int
 
 
-@dataclass(frozen=True)
-class WaldStat:
-    """sqrt(n)-scaled Wald statistic for one coefficient."""
-
-    value: float
-    coef_index: int
-    se: float  # sqrt of the sandwich diagonal entry
-
-
 def _as_vector(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
@@ -160,8 +132,8 @@ def _as_vector(x, name: str) -> np.ndarray:
     return arr
 
 
-def _design(cols: list, labels: list, adjust) -> DesignMatrix:
-    """Stack the columns, then append ``adjust`` (n or n x q) as adjust1..q."""
+def _design(cols: list, adjust) -> DesignMatrix:
+    """Stack the columns, then append the columns of ``adjust`` (n or n x q)."""
     if adjust is not None:
         n = cols[0].size
         adj = np.asarray(adjust, dtype=float)
@@ -172,8 +144,7 @@ def _design(cols: list, labels: list, adjust) -> DesignMatrix:
         if not np.isfinite(adj).all():
             raise ValueError("adjust entries must be finite")
         cols = cols + list(adj.T)
-        labels = labels + [f"adjust{q + 1}" for q in range(adj.shape[1])]
-    return DesignMatrix(np.column_stack(cols), tuple(labels))
+    return DesignMatrix(np.column_stack(cols))
 
 
 def build_stage1_design(x_col, adjust=None) -> DesignMatrix:
@@ -181,7 +152,7 @@ def build_stage1_design(x_col, adjust=None) -> DesignMatrix:
     x = _as_vector(x_col, "x_col")
     if x.size < 2:
         raise ValueError("stage-1 design needs at least 2 observations")
-    return _design([np.ones(x.size), x], ["intercept", "x"], adjust)
+    return _design([np.ones(x.size), x], adjust)
 
 
 def build_stage2_design(x_j, x_k, adjust=None) -> DesignMatrix:
@@ -190,9 +161,7 @@ def build_stage2_design(x_j, x_k, adjust=None) -> DesignMatrix:
     xk = _as_vector(x_k, "x_k")
     if xj.size != xk.size:
         raise ValueError(f"length mismatch: {xj.size} vs {xk.size}")
-    return _design(
-        [np.ones(xj.size), xj, xk, xj * xk], ["intercept", "x_j", "x_k", "x_j:x_k"], adjust
-    )
+    return _design([np.ones(xj.size), xj, xk, xj * xk], adjust)
 
 
 def _check_rank(values: np.ndarray) -> None:
@@ -311,7 +280,7 @@ def _sandwich_and_model_cov(X, resid, w):
     return (cov + cov.T) / 2.0, (a_inv + a_inv.T) / 2.0
 
 
-def wald_statistic(fit: GlmFit, coef_index: int, n: int | None = None) -> WaldStat:
+def wald_statistic(fit: GlmFit, coef_index: int) -> float:
     """T = sqrt(n) * beta[idx] / sqrt(sandwich[idx, idx]).
 
     Raises DegenerateVariance when the diagonal entry is <= 0, non-finite,
@@ -321,8 +290,6 @@ def wald_statistic(fit: GlmFit, coef_index: int, n: int | None = None) -> WaldSt
     d = fit.beta_hat.size
     if not 0 <= coef_index < d:
         raise ValueError(f"coef_index {coef_index} out of range for d={d}")
-    if n is None:
-        n = fit.n
     var = float(fit.sandwich_cov[coef_index, coef_index])
     if not np.isfinite(var) or var <= 0.0:
         raise DegenerateVariance(f"sandwich diagonal entry {var!r} at index {coef_index}")
@@ -330,11 +297,10 @@ def wald_statistic(fit: GlmFit, coef_index: int, n: int | None = None) -> WaldSt
         raise DegenerateVariance(
             f"sandwich diagonal at index {coef_index} is numerically zero (perfect fit)"
         )
-    se = var**0.5
-    value = float(np.sqrt(n) * fit.beta_hat[coef_index] / se)
+    value = float(np.sqrt(fit.n) * fit.beta_hat[coef_index] / var**0.5)
     if not np.isfinite(value):
         raise DegenerateVariance(f"non-finite Wald statistic at index {coef_index}")
-    return WaldStat(value=value, coef_index=coef_index, se=se)
+    return value
 
 
 def _cell_loglik(theta, counts, sums, n):

@@ -10,28 +10,10 @@ must skip such replicates rather than count them as zero).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "ReplicateMetrics",
-    "empirical_fdp",
-    "empirical_power",
-    "efficiency_omega",
-    "mean_and_se",
-]
-
-@dataclass(frozen=True)
-class ReplicateMetrics:
-    """Per-replicate outcome row; ``power`` is None when H1 was empty."""
-
-    fdp: float
-    power: float | None
-    omega: float
-    p1: int
-    t_hat: float
-    rejections: int
+__all__ = ["empirical_fdp", "empirical_power", "efficiency_omega"]
 
 
 def _masks(rejected, h1) -> tuple[np.ndarray, np.ndarray]:

@@ -44,10 +44,8 @@ from .normal import gauss_tail_inverse, gauss_two_sided_tail
 
 __all__ = [
     "Dataset",
-    "ScreenResult",
     "PairTestResult",
     "FdrReport",
-    "alpha_from_rate",
     "stage1_screen",
     "stage2_tests",
     "fdr_cutoff",
@@ -111,7 +109,6 @@ class ScreenResult:
     """Marginal Wald statistics and the surviving index set."""
 
     t_stats: np.ndarray  # NaN where the fit failed
-    alpha: float
     passing: tuple[int, ...]
     failed: dict[int, str] = field(default_factory=dict)
 
@@ -167,7 +164,7 @@ def _fit_outcome(design, y, family: Family, coef_index: int) -> tuple[float, str
         fit = fit_glm(design, y, family)
         if not fit.converged:
             return math.nan, "NOT_CONVERGED"
-        return wald_statistic(fit, coef_index).value, ""
+        return wald_statistic(fit, coef_index), ""
     except (SingularDesign, Separation, DegenerateVariance) as exc:
         return math.nan, exc.code
 
@@ -216,7 +213,7 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     if len(failed) == p:
         raise AllFitsFailed("every stage-1 marginal fit failed")
     passing = tuple(j for j in range(p) if j not in failed and abs(t_stats[j]) >= alpha)
-    return ScreenResult(t_stats=t_stats, alpha=float(alpha), passing=passing, failed=failed)
+    return ScreenResult(t_stats=t_stats, passing=passing, failed=failed)
 
 
 def _test_one_pair(x, y, family, adjust, pair):

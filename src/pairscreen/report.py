@@ -9,7 +9,7 @@ from pathlib import Path
 
 from .pipeline import Dataset, FdrReport
 
-__all__ = ["report_to_dict", "write_report", "rejected_csv_path"]
+__all__ = ["write_report"]
 
 
 def rejected_csv_path(out_path) -> Path:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
-from .metrics import ReplicateMetrics, efficiency_omega, empirical_fdp, empirical_power, mean_and_se
+from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
 from .pipeline import Dataset, PairTestResult, _cutoff_and_reject, _map_items, _test_one_pair
 from .pipeline import alpha_from_rate
 # the benchmark's trace hooks patch these names here
@@ -228,31 +228,43 @@ def gen_pair_response(
 
 @dataclass(frozen=True)
 class ReplicateRow:
-    """One (alpha1, replicate) outcome; ``error`` is set when the run failed."""
+    """One (b, alpha1, replicate) outcome; the fields are the metrics-CSV
+    columns.  A failed replicate has None metrics and its ``error`` code;
+    ``power`` is None when H1 was empty."""
 
     alpha1: float
+    b: float
     rep: int
     seed: int
-    metrics: ReplicateMetrics | None
+    fdp: float | None = None
+    power: float | None = None
+    omega: float | None = None
+    p1: int | None = None
+    t_hat: float | None = None
+    rejections: int | None = None
     error: str | None = None
 
 
 @dataclass(frozen=True)
 class AggregateRow:
-    """Mean/SE summary over the successful replicates of one alpha1 cell."""
+    """Means and Monte-Carlo SEs over the successful replicates of one
+    (b, alpha1) cell; the fields are the metrics-CSV columns, ``seed`` is
+    the base seed."""
 
     alpha1: float
-    reps: int
-    failed: int
-    fdp_mean: float
+    b: float
+    seed: int
+    fdp: float
     fdp_se: float
-    power_mean: float | None
+    power: float | None
     power_se: float | None
     power_reps: int
-    omega_mean: float
-    p1_mean: float
-    t_hat_mean: float
-    rejections_mean: float
+    omega: float
+    p1: float
+    t_hat: float
+    rejections: float
+    failed_reps: int
+    rep: str = "mean"
 
 
 def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> list[ReplicateRow]:
@@ -265,7 +277,7 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
         screen = stage1_screen(Dataset(x=design, y=y_screen, family=family), 0.0)
     except PairscreenError as exc:
         return [
-            ReplicateRow(alpha1=a1, rep=rep, seed=cfg.seed, metrics=None, error=exc.code)
+            ReplicateRow(alpha1=a1, b=cfg.b, rep=rep, seed=cfg.seed, error=exc.code)
             for a1 in alpha1_list
         ]
 
@@ -286,15 +298,20 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
         p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)
         rejected = np.zeros_like(truth.h1)
         rejected[pairs.j[hit], pairs.k[hit]] = True
-        metrics = ReplicateMetrics(
-            fdp=empirical_fdp(rejected, truth.h1),
-            power=empirical_power(rejected, truth.h1) if truth.h1.any() else None,
-            omega=efficiency_omega(cfg.p, p1),
-            p1=p1,
-            t_hat=t_hat,
-            rejections=int(np.count_nonzero(hit)),
+        rows.append(
+            ReplicateRow(
+                alpha1=alpha1,
+                b=cfg.b,
+                rep=rep,
+                seed=cfg.seed,
+                fdp=empirical_fdp(rejected, truth.h1),
+                power=empirical_power(rejected, truth.h1) if truth.h1.any() else None,
+                omega=efficiency_omega(cfg.p, p1),
+                p1=p1,
+                t_hat=t_hat,
+                rejections=int(np.count_nonzero(hit)),
+            )
         )
-        rows.append(ReplicateRow(alpha1=alpha1, rep=rep, seed=cfg.seed, metrics=metrics))
     return rows
 
 
@@ -321,43 +338,39 @@ def run_replicates(
 
 
 def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
-    """Summarize per-alpha1 means and Monte-Carlo SEs.
+    """Summarize per-(b, alpha1) means and Monte-Carlo SEs, in order of
+    first appearance.
 
     Replicates whose analysis failed are excluded and counted; replicates
     with empty H1 contribute to everything except the power mean.
     """
-    by_alpha: dict[float, list[ReplicateRow]] = {}
-    order: list[float] = []
+    cells: dict[tuple[float, float], list[ReplicateRow]] = {}
     for row in rows:
-        if row.alpha1 not in by_alpha:
-            by_alpha[row.alpha1] = []
-            order.append(row.alpha1)
-        by_alpha[row.alpha1].append(row)
+        cells.setdefault((row.b, row.alpha1), []).append(row)
 
     out = []
-    for alpha1 in order:
-        cell = by_alpha[alpha1]
-        good = [r.metrics for r in cell if r.metrics is not None]
-        failed = len(cell) - len(good)
+    for (b, alpha1), cell in cells.items():
+        good = [r for r in cell if r.error is None]
         if not good:
             raise PairscreenError(f"all replicates failed for alpha1={alpha1}")
-        fdp_mean, fdp_se = mean_and_se([m.fdp for m in good])
-        powers = [m.power for m in good if m.power is not None]
-        power_mean, power_se = mean_and_se(powers) if powers else (None, None)
+        fdp, fdp_se = mean_and_se([r.fdp for r in good])
+        powers = [r.power for r in good if r.power is not None]
+        power, power_se = mean_and_se(powers) if powers else (None, None)
         out.append(
             AggregateRow(
                 alpha1=alpha1,
-                reps=len(good),
-                failed=failed,
-                fdp_mean=fdp_mean,
+                b=b,
+                seed=cell[0].seed - cell[0].rep,  # replicate r runs at seed + r
+                fdp=fdp,
                 fdp_se=fdp_se,
-                power_mean=power_mean,
+                power=power,
                 power_se=power_se,
                 power_reps=len(powers),
-                omega_mean=mean_and_se([m.omega for m in good])[0],
-                p1_mean=mean_and_se([m.p1 for m in good])[0],
-                t_hat_mean=mean_and_se([m.t_hat for m in good])[0],
-                rejections_mean=mean_and_se([m.rejections for m in good])[0],
+                omega=mean_and_se([r.omega for r in good])[0],
+                p1=mean_and_se([r.p1 for r in good])[0],
+                t_hat=mean_and_se([r.t_hat for r in good])[0],
+                rejections=mean_and_se([r.rejections for r in good])[0],
+                failed_reps=len(cell) - len(good),
             )
         )
     return out

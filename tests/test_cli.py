@@ -19,7 +19,7 @@ from pairscreen import (
     run_two_stage,
 )
 from pairscreen.cli import main
-from pairscreen.csvio import dominant_encode, load_csv_matrix, write_csv_matrix
+from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix, write_csv_matrix
 from pairscreen.pipeline import _fit_outcome
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
@@ -127,6 +127,18 @@ class TestLoadCsv:
         assert np.array_equal(back, matrix)  # repr serialization is exact
 
 
+class TestFormatNumber:
+    def test_integers_are_exact(self):
+        assert format_number(10**17) == "100000000000000000"
+        assert format_number(-3) == "-3"
+
+    def test_floats_round_trip(self):
+        assert format_number(3.0) == "3"
+        assert format_number(0.1) == "0.1"
+        assert format_number(1e17) == "1e+17"
+        assert format_number(np.float64(2.5)) == "2.5"
+
+
 class TestDominantEncode:
     def test_mapping(self):
         assert dominant_encode(np.array([0.0, 1.0, 2.0])).tolist() == [0.0, 1.0, 1.0]
@@ -168,6 +180,76 @@ def make_analysis_files(tmp_path, n=60, p=5, seed=0):
     write_csv_matrix(x_path, x, tuple(f"v{i}" for i in range(p)))
     write_csv_matrix(y_path, y[:, None], ("y",))
     return x_path, y_path, x, y
+
+
+# logistic n = 10, p = 4, b = 0 and 2, alpha1 = 0 and 0.5, eta = 0.3, 4 reps,
+# seed 1: replicate 2 fails stage 1 in both b cells, b = 0 has an empty H1
+PINNED_METRICS_CSV = """\
+alpha1,b,rep,fdp,power,omega,p1,t_hat,rejections,seed,error,fdp_se,power_se,power_reps,failed_reps
+0,0,0,0,,1.6666666666666667,4,1.6651092223153954,0,1,,,,,
+0.5,0,0,0,,0.8333333333333334,2,1.0364333894937896,0,1,,,,,
+0,0,1,0,,0.8333333333333334,2,1.0364333894937896,0,2,,,,,
+0.5,0,1,0,,0.6666666666666666,1,1.6651092223153954,0,2,,,,,
+0,0,2,,,,,,,3,ALL_FITS_FAILED,,,,
+0.5,0,2,,,,,,,3,ALL_FITS_FAILED,,,,
+0,0,3,0,,1.6666666666666667,4,1.6651092223153954,0,4,,,,,
+0.5,0,3,0,,1.1666666666666667,3,1.644853626951472,0,4,,,,,
+0,2,0,0,0,1.6666666666666667,4,1.6651092223153954,0,1,,,,,
+0.5,2,0,1,0,1.1666666666666667,3,1.644853626951472,1,1,,,,,
+0,2,1,0,0,1.6666666666666667,4,1.6651092223153954,0,2,,,,,
+0.5,2,1,0,0,0.8333333333333334,2,1.0364333894937896,0,2,,,,,
+0,2,2,,,,,,,3,ALL_FITS_FAILED,,,,
+0.5,2,2,,,,,,,3,ALL_FITS_FAILED,,,,
+0,2,3,0,0,1.6666666666666667,4,1.6651092223153954,0,4,,,,,
+0.5,2,3,0,0,0.8333333333333334,2,1.0364333894937896,0,4,,,,,
+0,0,mean,0,,1.388888888888889,3.3333333333333335,1.45555061137486,0,1,,0,,0,1
+0.5,0,mean,0,,0.888888888888889,2,1.4487987462535523,0,1,,0,,0,1
+0,2,mean,0,0,1.6666666666666667,4,1.6651092223153954,0,1,,0,0,3,1
+0.5,2,mean,0.3333333333333333,0,0.9444444444444445,2.3333333333333335,1.2392401353130171,0.3333333333333333,1,,0.33333333333333337,0,3,1
+"""
+
+
+def must_not_run(*args, **kwargs):
+    raise AssertionError("replicates ran before the options were checked")
+
+
+def unchecked_argv(command, tmp_path):
+    """Flags of ``command`` whose values are only used after the options
+    are checked: analyze's input files do not exist."""
+    if command == "analyze":
+        missing = str(tmp_path / "missing.csv")
+        return ["analyze", "--x", missing, "--y", missing, "--out", str(tmp_path / "out")]
+    return ["simulate", "--n", "60", "--p", "8", "--reps", "2", "--seed", "1",
+            "--out", str(tmp_path / "out")]
+
+
+def check_bad_config_value(tmp_path, capsys, command, bad):
+    """A bad config value exits with INVALID_CONFIG before any input is
+    read or any replicate runs."""
+    cfg = {"family": "gaussian", "alpha1": 0.1, "eta": 0.1}
+    if command == "simulate":
+        cfg["b"] = 0.5
+    cfg_path = tmp_path / "cfg.json"
+    write_text(cfg_path, json.dumps({**cfg, **bad}))
+    assert main(unchecked_argv(command, tmp_path) + ["--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error INVALID_CONFIG: ")
+    assert repr(next(iter(bad))) in err
+    assert not (tmp_path / "out").exists()
+
+
+def check_bad_flag(tmp_path, capsys, command, bad, shown):
+    """The twin of check_bad_config_value for flags; the message shows the
+    bad text and no argparse usage."""
+    argv = unchecked_argv(command, tmp_path)
+    argv += ["--family", "gaussian", "--alpha1", "0.1", "--eta", "0.1"]
+    if command == "simulate":
+        argv += ["--b", "0.5"]
+    assert main(argv + bad) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error INVALID_CONFIG: ")
+    assert shown in captured.err and "usage:" not in captured.err + captured.out
+    assert not (tmp_path / "out").exists()
 
 
 class TestAnalyzeCommand:
@@ -450,21 +532,7 @@ class TestAnalyzeCommand:
         ],
     )
     def test_bad_config_value_fails_before_loading(self, tmp_path, capsys, bad):
-        cfg_path = tmp_path / "cfg.json"
-        write_text(cfg_path, json.dumps({"family": "gaussian", "alpha1": 0.1, "eta": 0.1, **bad}))
-        code = main(
-            [
-                "analyze",
-                "--config", str(cfg_path),
-                "--x", str(tmp_path / "missing.csv"),
-                "--y", str(tmp_path / "missing.csv"),
-                "--out", str(tmp_path / "r.json"),
-            ]
-        )
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error INVALID_CONFIG: ")
-        assert repr(next(iter(bad))) in err
+        check_bad_config_value(tmp_path, capsys, "analyze", bad)
 
     @pytest.mark.parametrize(
         "bad, shown",
@@ -477,14 +545,7 @@ class TestAnalyzeCommand:
         ],
     )
     def test_bad_flag_fails_before_loading(self, tmp_path, capsys, bad, shown):
-        missing = str(tmp_path / "missing.csv")
-        argv = ["analyze", "--x", missing, "--y", missing, "--family", "gaussian",
-                "--alpha1", "0.1", "--eta", "0.1", "--out", str(tmp_path / "r.json")]
-        assert main(argv + bad) == 1
-        captured = capsys.readouterr()
-        assert captured.err.startswith("error INVALID_CONFIG: ")
-        assert shown in captured.err and "usage:" not in captured.err + captured.out
-        assert not (tmp_path / "r.json").exists()
+        check_bad_flag(tmp_path, capsys, "analyze", bad, shown)
 
     def test_help_exits_zero(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -531,6 +592,14 @@ class TestSimulateCommand:
         four = self.run_sim(tmp_path, "w4.csv", extra=["--workers", "4"])
         assert one == four
 
+    def test_metrics_csv_bytes_are_pinned(self, tmp_path):
+        out = tmp_path / "m.csv"
+        argv = ["simulate", "--family", "logistic", "--n", "10", "--p", "4", "--b", "0,2",
+                "--alpha1", "0,0.5", "--eta", "0.3", "--reps", "4", "--seed", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert out.read_bytes() == PINNED_METRICS_CSV.encode()
+
     def test_null_power_columns_empty(self, tmp_path):
         out = tmp_path / "null.csv"
         assert (
@@ -555,6 +624,19 @@ class TestSimulateCommand:
         power_idx = header.index("power")
         for line in lines[1:]:
             assert line.split(",")[power_idx] == ""
+
+    @pytest.mark.parametrize("bad", [{"b": [0.4, -1]}, {"b": "0.4,-1"}, {"alpha1": "0,-0.1"}])
+    def test_bad_config_value_fails_before_running(self, tmp_path, capsys, monkeypatch, bad):
+        monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)
+        check_bad_config_value(tmp_path, capsys, "simulate", bad)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [(["--b", "0.4,-1"], "'-1'"), (["--b", "-1"], "'-1'"), (["--alpha1", "0,-0.1"], "'-0.1'")],
+    )
+    def test_bad_flag_fails_before_running(self, tmp_path, capsys, monkeypatch, bad, shown):
+        monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)
+        check_bad_flag(tmp_path, capsys, "simulate", bad, shown)
 
     def test_invalid_config_exit(self, tmp_path, capsys):
         code = main(

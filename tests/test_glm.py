@@ -14,15 +14,14 @@ from pairscreen import (
     GAUSSIAN,
     LOGISTIC,
     DegenerateVariance,
-    GlmFit,
     Separation,
     SingularDesign,
     build_stage1_design,
     build_stage2_design,
-    family_from_name,
     fit_glm,
     wald_statistic,
 )
+from pairscreen.glm import DesignMatrix, GlmFit, family_from_name
 
 
 def working_loglik(X, y, family, beta):
@@ -59,7 +58,6 @@ class TestDesignBuilders:
     def test_stage1_shape(self):
         d = build_stage1_design([0.0, 1.0])
         assert d.values.tolist() == [[1.0, 0.0], [1.0, 1.0]]
-        assert d.labels == ("intercept", "x")
 
     def test_stage1_constant_column_is_built(self):
         # degeneracy is flagged at fit time, not at construction
@@ -77,7 +75,6 @@ class TestDesignBuilders:
     def test_stage2_columns(self):
         d = build_stage2_design([1.0, 0.0], [0.0, 1.0])
         assert d.values.tolist() == [[1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 1.0, 0.0]]
-        assert d.labels == ("intercept", "x_j", "x_k", "x_j:x_k")
 
     def test_stage2_interaction_can_duplicate_intercept(self):
         d = build_stage2_design([1.0, 1.0], [1.0, 1.0])
@@ -95,13 +92,12 @@ class TestDesignBuilders:
     def test_stage1_adjust_appended(self):
         d = build_stage1_design([2.0, 0.0, 1.0], np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]]))
         assert d.values.shape == (3, 4)
-        assert d.labels == ("intercept", "x", "adjust1", "adjust2")
         assert d.values[:, 2].tolist() == [5.0, 5.0, 5.0]
         assert d.values[:, 3].tolist() == [1.0, 2.0, 3.0]
 
     def test_stage1_one_dimensional_adjust_is_a_column(self):
         d = build_stage1_design([2.0, 0.0, 1.0], [5.0, 6.0, 7.0])
-        assert d.labels == ("intercept", "x", "adjust1")
+        assert d.values.shape == (3, 3)
         assert d.values[:, 2].tolist() == [5.0, 6.0, 7.0]
 
     def test_stage1_adjust_rows_must_match(self):
@@ -125,9 +121,7 @@ class TestFitGaussian:
         rng = np.random.default_rng(42)
         for _ in range(30):
             X, y = random_instance(rng, GAUSSIAN)
-            from pairscreen import DesignMatrix
-
-            design = DesignMatrix(X, tuple(f"c{i}" for i in range(X.shape[1])))
+            design = DesignMatrix(X)
             fit = fit_glm(design, y, GAUSSIAN)
             oracle = np.linalg.solve(X.T @ X, X.T @ y)
             assert np.max(np.abs(fit.beta_hat - oracle)) <= 1e-10
@@ -173,9 +167,7 @@ class TestFitLogistic:
     def test_fitted_means_match_score_equations(self):
         rng = np.random.default_rng(3)
         X, y = random_instance(rng, LOGISTIC, n=60, d=3)
-        from pairscreen import DesignMatrix
-
-        design = DesignMatrix(X, ("a", "b", "c"))
+        design = DesignMatrix(X)
         fit = fit_glm(design, y, LOGISTIC)
         assert fit.converged
         assert fit.grad_norm <= 1e-8
@@ -207,13 +199,11 @@ class TestSandwich:
         for family in (GAUSSIAN, LOGISTIC):
             for _ in range(25):
                 X, y = random_instance(rng, family, n=40, d=3)
-                from pairscreen import DesignMatrix
-
-                design = DesignMatrix(X, ("i", "u", "v"))
+                design = DesignMatrix(X)
                 fit = fit_glm(design, y, family)
                 n = X.shape[0]
                 theta = X @ fit.beta_hat
-                w = family.variance(theta)
+                w = family.variance_from_mean(family.mean(theta))
                 resid = y - family.mean(theta)
                 A = (X.T * w) @ X / n
                 B = (X.T * resid**2) @ X / n
@@ -224,9 +214,7 @@ class TestSandwich:
         rng = np.random.default_rng(5)
         for _ in range(20):
             X, y = random_instance(rng, GAUSSIAN)
-            from pairscreen import DesignMatrix
-
-            design = DesignMatrix(X, tuple(f"c{i}" for i in range(X.shape[1])))
+            design = DesignMatrix(X)
             cov = fit_glm(design, y, GAUSSIAN).sandwich_cov
             assert np.max(np.abs(cov - cov.T)) <= 1e-12
             eigvals = np.linalg.eigvalsh(cov)
@@ -260,23 +248,21 @@ class TestWald:
 
     def test_zero_coefficient(self):
         fit = self._manual_fit([1.0, 0.0], [[1.0, 0.0], [0.0, 2.5]], 50)
-        assert wald_statistic(fit, 1).value == 0.0
+        assert wald_statistic(fit, 1) == 0.0
 
     def test_direct_arithmetic(self):
         fit = self._manual_fit([0.0, 1.0], [[1.0, 0.0], [0.0, 4.0]], 100)
-        stat = wald_statistic(fit, 1)
-        assert stat.value == pytest.approx(5.0, abs=1e-12)
-        assert stat.se == pytest.approx(2.0, abs=1e-12)
+        assert wald_statistic(fit, 1) == pytest.approx(5.0, abs=1e-12)
 
     def test_full_pipeline_matches_oracle(self):
         # sqrt(3) * beta1 / sqrt((A^-1 B A^-1)[1,1]) = sqrt(3)*0.5/sqrt(0.375)
         design = build_stage1_design([0.0, 1.0, 2.0])
         fit = fit_glm(design, [0.0, 2.0, 1.0], GAUSSIAN)
-        assert wald_statistic(fit, 1).value == pytest.approx(1.4142135623730951, abs=1e-12)
+        assert wald_statistic(fit, 1) == pytest.approx(1.4142135623730951, abs=1e-12)
 
     def test_sign_follows_coefficient(self):
         fit = self._manual_fit([0.0, -2.0], [[1.0, 0.0], [0.0, 4.0]], 25)
-        assert wald_statistic(fit, 1).value == pytest.approx(-5.0, abs=1e-12)
+        assert wald_statistic(fit, 1) == pytest.approx(-5.0, abs=1e-12)
 
     def test_zero_variance_rejected(self):
         fit = self._manual_fit([0.0, 1.0], [[1.0, 0.0], [0.0, 0.0]], 25)
@@ -301,9 +287,7 @@ class TestInvariants:
         for family in (GAUSSIAN, LOGISTIC):
             for _ in range(10):
                 X, y = random_instance(rng, family, n=80)
-                from pairscreen import DesignMatrix
-
-                design = DesignMatrix(X, tuple(f"c{i}" for i in range(X.shape[1])))
+                design = DesignMatrix(X)
                 fit = fit_glm(design, y, family)
                 assert fit.converged
                 assert fit.grad_norm <= 1e-8
@@ -312,20 +296,17 @@ class TestInvariants:
         rng = np.random.default_rng(31)
         for _ in range(20):
             X, y = random_instance(rng, GAUSSIAN)
-            from pairscreen import DesignMatrix
-
-            design = DesignMatrix(X, tuple(f"c{i}" for i in range(X.shape[1])))
+            design = DesignMatrix(X)
             c = float(rng.uniform(0.1, 10))
             base = fit_glm(design, y, GAUSSIAN)
             scaled = fit_glm(design, c * y, GAUSSIAN)
             for idx in range(X.shape[1]):
-                t0 = wald_statistic(base, idx).value
-                t1 = wald_statistic(scaled, idx).value
+                t0 = wald_statistic(base, idx)
+                t1 = wald_statistic(scaled, idx)
                 assert t1 == pytest.approx(t0, abs=1e-8)
 
     def test_covariate_rescaling_leaves_wald_unchanged(self):
         rng = np.random.default_rng(32)
-        from pairscreen import DesignMatrix
 
         for family in (GAUSSIAN, LOGISTIC):
             for _ in range(20):
@@ -334,9 +315,8 @@ class TestInvariants:
                 c = float(rng.choice([-3.0, 0.25, 4.0, -0.5]))
                 X2 = X.copy()
                 X2[:, j] = c * X2[:, j]
-                labels = tuple(f"c{i}" for i in range(X.shape[1]))
-                t0 = wald_statistic(fit_glm(DesignMatrix(X, labels), y, family), j).value
-                t1 = wald_statistic(fit_glm(DesignMatrix(X2, labels), y, family), j).value
+                t0 = wald_statistic(fit_glm(DesignMatrix(X), y, family), j)
+                t1 = wald_statistic(fit_glm(DesignMatrix(X2), y, family), j)
                 assert abs(t1) == pytest.approx(abs(t0), abs=1e-8)
 
     def test_family_lookup(self):

@@ -24,7 +24,6 @@ from pairscreen import (
     PairTestResult,
     build_stage1_design,
     build_stage2_design,
-    alpha_from_rate,
     fdr_cutoff,
     gauss_two_sided_tail,
     run_two_stage,
@@ -32,6 +31,7 @@ from pairscreen import (
     stage2_tests,
     theoretical_cstar,
 )
+from pairscreen.pipeline import alpha_from_rate
 
 
 def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
@@ -180,10 +180,10 @@ class TestStage2:
         rng = np.random.default_rng(4)
         data = make_dataset(rng)
         screen = stage1_screen(data, 0.0)
-        empty = type(screen)(t_stats=screen.t_stats, alpha=screen.alpha, passing=(), failed={})
+        empty = type(screen)(t_stats=screen.t_stats, passing=(), failed={})
         assert_same_pairs(stage2_tests(data, empty), stage2_tests(data, empty))
         assert fitted_and_skipped(stage2_tests(data, empty)) == ([], [])
-        single = type(screen)(t_stats=screen.t_stats, alpha=screen.alpha, passing=(3,), failed={})
+        single = type(screen)(t_stats=screen.t_stats, passing=(3,), failed={})
         assert fitted_and_skipped(stage2_tests(data, single)) == ([], [])
 
     def test_lexicographic_pair_enumeration(self):
@@ -191,7 +191,7 @@ class TestStage2:
         data = make_dataset(rng)
         screen = stage1_screen(data, 0.0)
         three = type(screen)(
-            t_stats=screen.t_stats, alpha=screen.alpha, passing=(0, 1, 2), failed={}
+            t_stats=screen.t_stats, passing=(0, 1, 2), failed={}
         )
         result = stage2_tests(data, three)
         keys = list(zip(result.j.tolist(), result.k.tolist()))

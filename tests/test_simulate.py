@@ -182,7 +182,7 @@ class TestRunReplicates:
         rows2 = run_replicates(cfg, [0.0, 0.3], eta=0.1, reps=1)
         assert rows1 == rows2
         assert len(rows1) == 2
-        assert rows1[0].metrics is not None
+        assert rows1[0].fdp is not None
 
     def test_replicate_seeds_increment(self):
         cfg = base_config(n=100, p=6, b=0.5)
@@ -195,26 +195,25 @@ class TestRunReplicates:
         # mass negligible at this scale (few pairs ever reach stage 2).
         cfg = base_config(n=300, p=30, b=0.0, seed=31)
         rows = run_replicates(cfg, [1.0], eta=0.1, reps=50)
-        fdps = [r.metrics.fdp for r in rows if r.metrics is not None]
+        fdps = [r.fdp for r in rows if r.fdp is not None]
         assert len(fdps) == 50
         assert sum(fdps) / len(fdps) <= 0.1 + 0.05
 
     def test_power_missing_under_null(self):
         cfg = base_config(n=100, p=6, b=0.0)
         rows = run_replicates(cfg, [0.2], eta=0.1, reps=4)
-        assert all(r.metrics.power is None for r in rows)
+        assert all(r.power is None for r in rows)
         agg = aggregate_rows(rows)[0]
-        assert agg.power_mean is None
+        assert agg.power is None
         assert agg.power_reps == 0
 
     def test_omega_consistent_with_p1(self):
         cfg = base_config(n=150, p=10, b=0.6, seed=99)
         rows = run_replicates(cfg, [0.0, 0.4], eta=0.1, reps=3)
         for row in rows:
-            m = row.metrics
             p = cfg.p
-            expect = (2 * p + m.p1 * (m.p1 - 1)) / (p * (p - 1))
-            assert m.omega == pytest.approx(expect, abs=1e-12)
+            expect = (2 * p + row.p1 * (row.p1 - 1)) / (p * (p - 1))
+            assert row.omega == pytest.approx(expect, abs=1e-12)
 
     def test_workers_do_not_change_rows(self):
         cfg = base_config(n=100, p=8, b=0.7, seed=7)
@@ -240,8 +239,8 @@ class TestRunReplicates:
                 t[(j, k)] = pairscreen.pipeline._test_one_pair(x, y, GAUSSIAN, None, (j, k))[0]
         j, k = max(t, key=lambda pair: abs(t[pair]))
         (plain,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
-        assert plain.metrics.p1 == cfg.p
-        assert abs(t[(j, k)]) >= plain.metrics.t_hat  # rejected when its fit converges
+        assert plain.p1 == cfg.p
+        assert abs(t[(j, k)]) >= plain.t_hat  # rejected when its fit converges
 
         real_fit = pairscreen.pipeline.fit_glm
 
@@ -255,10 +254,10 @@ class TestRunReplicates:
 
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
         (row,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
-        assert (row.metrics.p1, row.metrics.omega) == (plain.metrics.p1, plain.metrics.omega)
+        assert (row.p1, row.omega) == (plain.p1, plain.omega)
         others = [abs(stat) for pair, stat in t.items() if pair != (j, k)]
-        assert row.metrics.t_hat == fdr_cutoff(others, cfg.p * (cfg.p - 1) // 2, cfg.p, 0.1)
-        assert row.metrics.rejections == sum(stat >= row.metrics.t_hat for stat in others)
+        assert row.t_hat == fdr_cutoff(others, cfg.p * (cfg.p - 1) // 2, cfg.p, 0.1)
+        assert row.rejections == sum(stat >= row.t_hat for stat in others)
 
     def test_aggregate_accounting(self):
         cfg = base_config(n=120, p=8, b=0.9, seed=3)
@@ -266,9 +265,9 @@ class TestRunReplicates:
         aggs = aggregate_rows(rows)
         assert [a.alpha1 for a in aggs] == [0.0, 0.3]
         for agg in aggs:
-            assert agg.reps == 5
-            assert agg.failed == 0
-            assert 0.0 <= agg.fdp_mean <= 1.0
+            assert sum(r.alpha1 == agg.alpha1 for r in rows) - agg.failed_reps == 5
+            assert agg.failed_reps == 0
+            assert 0.0 <= agg.fdp <= 1.0
 
 
 class TestConfigValidation:
