@@ -73,8 +73,8 @@ _workers = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _float_list(text, number=float) -> list[float]:
-    """Comma-separated numbers, each read by ``number``; a config file may
-    give a JSON list instead."""
+    """Comma-separated distinct numbers, each read by ``number``; a config
+    file may give a JSON list instead."""
     tokens = text if isinstance(text, list) else str(text).split(",")
     try:
         values = [number(tok) for tok in tokens if tok != ""]
@@ -82,6 +82,8 @@ def _float_list(text, number=float) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"expected distinct numbers, got {text!r}")
     return values
 
 

@@ -1,13 +1,12 @@
 """Standard-normal utilities: CDF, two-sided tails, and tail inversion.
 
 The screening thresholds, the FDR cutoff search and the power diagnostics
-all reduce to evaluations of the standard normal CDF ``Phi``, the two-sided
-tail ``G(t) = 2 - 2*Phi(t)`` and its inverse.  ``Phi`` is implemented from
-first principles (no SciPy dependency) using the double-precision rational
-approximation of G. West, "Better approximations to cumulative normal
-functions", Wilmott Magazine (2005), which has absolute error below 1e-15.
-The inverse is obtained by safeguarded Newton iteration on ``G`` itself so
-the round-trip identity holds by construction.
+all reduce to the standard normal CDF ``Phi``, the two-sided tail
+``G(t) = 2 - 2*Phi(t) = erfc(t / sqrt(2))`` and its inverse.  Both come
+from the standard library, so there is no SciPy dependency: the tails from
+``math.erfc``, accurate in relative terms over the whole range (``G`` stays
+nonzero until it underflows near t = 38), and the inverse from
+``statistics.NormalDist.inv_cdf`` (Wichura's AS241).
 
 All functions are pure and stateless.
 """
@@ -15,6 +14,7 @@ All functions are pure and stateless.
 from __future__ import annotations
 
 import math
+from statistics import NormalDist
 
 __all__ = [
     "normal_cdf",
@@ -23,45 +23,8 @@ __all__ = [
     "noncentral_two_sided_tail",
 ]
 
-_SQRT_TWO_PI = 2.506628274631000502
-
-# Branch point of West's approximation: below it a degree-6/7 rational form
-# is used, above it a 5-level continued fraction for the Mills ratio.
-_WEST_SPLIT = 7.07106781186547
-
-
-def _west_upper_tail(z: float) -> float:
-    """P(N(0,1) > z) for z >= 0 via West (2005); exact to ~1e-15 relative
-    in the central region, ~1e-8 relative deep in the tail."""
-    if z > 37.0:
-        return 0.0
-    e = math.exp(-z * z / 2.0)
-    if z < _WEST_SPLIT:
-        build = 3.52624965998911e-02 * z + 0.700383064443688
-        build = build * z + 6.37396220353165
-        build = build * z + 33.912866078383
-        build = build * z + 112.079291497871
-        build = build * z + 221.213596169931
-        build = build * z + 220.206867912376
-        num = e * build
-        build = 8.83883476483184e-02 * z + 1.75566716318264
-        build = build * z + 16.064177579207
-        build = build * z + 86.7807322029461
-        build = build * z + 296.564248779674
-        build = build * z + 637.333633378831
-        build = build * z + 793.826512519948
-        build = build * z + 440.413735824752
-        return num / build
-    return e / _west_mills_denom(z) / _SQRT_TWO_PI
-
-
-def _west_mills_denom(z: float) -> float:
-    """Continued-fraction denominator of the upper tail for large z."""
-    build = z + 0.65
-    build = z + 4.0 / build
-    build = z + 3.0 / build
-    build = z + 2.0 / build
-    return z + 1.0 / build
+_SQRT2 = math.sqrt(2.0)
+_STANDARD = NormalDist()
 
 
 def normal_cdf(x: float) -> float:
@@ -72,64 +35,40 @@ def normal_cdf(x: float) -> float:
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"normal_cdf requires finite input, got {x!r}")
-    if x >= 0.0:
-        return 1.0 - _west_upper_tail(x)
-    return _west_upper_tail(-x)
+    return 0.5 * math.erfc(-x / _SQRT2)
 
 
 def gauss_two_sided_tail(t: float) -> float:
     """G(t) = 2 - 2*Phi(t) = P(|N(0,1)| >= t) for t >= 0.
 
-    Strictly decreasing with G(0) = 1.  For t > 8 the result is assembled in
-    log space so it stays nonzero until it genuinely underflows near t = 38.
+    Strictly decreasing with G(0) = 1, and nonzero until it underflows
+    near t = 38.
     """
     t = float(t)
     if not math.isfinite(t) or t < 0.0:
         raise ValueError(f"gauss_two_sided_tail requires t >= 0, got {t!r}")
-    if t <= 8.0:
-        return 2.0 * _west_upper_tail(t)
-    log_tail = -t * t / 2.0 - math.log(_west_mills_denom(t) * _SQRT_TWO_PI)
-    return 2.0 * math.exp(log_tail)
+    return math.erfc(t / _SQRT2)
 
 
 def gauss_tail_inverse(q: float) -> float:
     """Return t >= 0 with gauss_two_sided_tail(t) == q, for q in (0, 1].
 
-    Safeguarded Newton on G (derivative -2*phi) with a bisection fallback,
-    iterated to floating-point convergence, so G(G^-1(q)) reproduces q to
-    well within 1e-10.
+    G(G^-1(q)) reproduces q to within 1e-12 relative, down to q = 1e-300.
     """
     q = float(q)
     if not (0.0 < q <= 1.0):
         raise ValueError(f"gauss_tail_inverse requires q in (0, 1], got {q!r}")
     if q == 1.0:
-        return 0.0
-    lo, hi = 0.0, 40.0  # G(40) underflows to 0 < q for any positive float q
-    t = min(math.sqrt(max(-2.0 * math.log(q / 2.0), 0.0)) + 1e-3, hi)  # tail-bound seed
-    for _ in range(200):
-        g = gauss_two_sided_tail(t)
-        if g > q:
-            lo = t
-        elif g < q:
-            hi = t
-        else:
-            return t
-        # Newton step; phi(t) never underflows before G does.
-        deriv = -2.0 * math.exp(-t * t / 2.0) / _SQRT_TWO_PI
-        t_new = t - (g - q) / deriv
-        if not (lo < t_new < hi):
-            t_new = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * math.ulp(hi) or t_new == t:
-            return t_new
-        t = t_new
-    return t
+        return 0.0  # inv_cdf(0.5) is 0.0, and -0.0 is not the t >= 0 asked for
+    # q / 2 rounds to 0 for the smallest subnormal q alone
+    return -_STANDARD.inv_cdf(max(q / 2.0, math.ulp(0.0)))
 
 
 def noncentral_two_sided_tail(alpha: float, mu: float) -> float:
     """P(|N(0,1) + mu| >= alpha) = [1 - Phi(alpha - mu)] + [1 - Phi(alpha + mu)].
 
     Requires alpha >= 0; symmetric in the sign of mu, and equal to
-    gauss_two_sided_tail(alpha) when mu = 0 (shared code path).
+    gauss_two_sided_tail(alpha) when mu = 0.
     """
     alpha = float(alpha)
     mu = float(mu)
@@ -137,13 +76,4 @@ def noncentral_two_sided_tail(alpha: float, mu: float) -> float:
         raise ValueError(f"noncentral_two_sided_tail requires alpha >= 0, got {alpha!r}")
     if not math.isfinite(mu):
         raise ValueError(f"noncentral_two_sided_tail requires finite mu, got {mu!r}")
-    if mu == 0.0:
-        return gauss_two_sided_tail(alpha)
-    return _upper_tail_signed(alpha - mu) + _upper_tail_signed(alpha + mu)
-
-
-def _upper_tail_signed(z: float) -> float:
-    """1 - Phi(z) for any real z."""
-    if z >= 0.0:
-        return _west_upper_tail(z)
-    return 1.0 - _west_upper_tail(-z)
+    return 0.5 * (math.erfc((alpha - mu) / _SQRT2) + math.erfc((alpha + mu) / _SQRT2))

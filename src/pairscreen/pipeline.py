@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -184,8 +185,9 @@ def _run_task(item):
 
 def _map_items(func, shared: tuple, items, workers: int) -> list:
     """``[func(*shared, item) for item in items]``, in order.  With ``workers > 1``
-    the items go to a fork pool; ``shared`` reaches the workers unpickled."""
-    workers = min(workers, len(items))
+    the items go to a fork pool of at most one process per item and per CPU;
+    ``shared`` reaches the workers unpickled."""
+    workers = min(workers, len(items), os.cpu_count() or 1)
     if workers <= 1:
         return [func(*shared, item) for item in items]
     ctx = multiprocessing.get_context("fork")
@@ -300,9 +302,8 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     interior = interior[(interior > 0.0) & (interior < t_max)]
     lowers = np.concatenate(([0.0], interior))
     uppers = np.concatenate((interior, [t_max]))
-    sorted_stats = np.sort(stats)
-    for lo, hi in zip(lowers, uppers):
-        r = stats.size - int(np.searchsorted(sorted_stats, lo, side="right"))  # |T| > lo
+    above = stats.size - np.searchsorted(np.sort(stats), lowers, side="right")  # |T| > lo
+    for lo, hi, r in zip(lowers.tolist(), uppers.tolist(), above.tolist()):
         q = eta * max(r, 1) / m_tested
         if q >= 1.0:
             return float(lo)

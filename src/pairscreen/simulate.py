@@ -249,20 +249,20 @@ class ReplicateRow:
 class AggregateRow:
     """Means and Monte-Carlo SEs over the successful replicates of one
     (b, alpha1) cell; the fields are the metrics-CSV columns, ``seed`` is
-    the base seed."""
+    the base seed.  The metrics are None when every replicate failed."""
 
     alpha1: float
     b: float
     seed: int
-    fdp: float
-    fdp_se: float
+    fdp: float | None
+    fdp_se: float | None
     power: float | None
     power_se: float | None
     power_reps: int
-    omega: float
-    p1: float
-    t_hat: float
-    rejections: float
+    omega: float | None
+    p1: float | None
+    t_hat: float | None
+    rejections: float | None
     failed_reps: int
     rep: str = "mean"
 
@@ -337,12 +337,17 @@ def run_replicates(
     return [row for rep_rows in per_rep for row in rep_rows]
 
 
+def _mean_se(values) -> tuple[float | None, float | None]:
+    return mean_and_se(values) if values else (None, None)
+
+
 def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
     """Summarize per-(b, alpha1) means and Monte-Carlo SEs, in order of
     first appearance.
 
     Replicates whose analysis failed are excluded and counted; replicates
-    with empty H1 contribute to everything except the power mean.
+    with empty H1 contribute to everything except the power mean.  A cell
+    whose replicates all failed gets a row of None metrics.
     """
     cells: dict[tuple[float, float], list[ReplicateRow]] = {}
     for row in rows:
@@ -351,11 +356,9 @@ def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
     out = []
     for (b, alpha1), cell in cells.items():
         good = [r for r in cell if r.error is None]
-        if not good:
-            raise PairscreenError(f"all replicates failed for alpha1={alpha1}")
-        fdp, fdp_se = mean_and_se([r.fdp for r in good])
+        fdp, fdp_se = _mean_se([r.fdp for r in good])
         powers = [r.power for r in good if r.power is not None]
-        power, power_se = mean_and_se(powers) if powers else (None, None)
+        power, power_se = _mean_se(powers)
         out.append(
             AggregateRow(
                 alpha1=alpha1,
@@ -366,10 +369,10 @@ def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
                 power=power,
                 power_se=power_se,
                 power_reps=len(powers),
-                omega=mean_and_se([r.omega for r in good])[0],
-                p1=mean_and_se([r.p1 for r in good])[0],
-                t_hat=mean_and_se([r.t_hat for r in good])[0],
-                rejections=mean_and_se([r.rejections for r in good])[0],
+                omega=_mean_se([r.omega for r in good])[0],
+                p1=_mean_se([r.p1 for r in good])[0],
+                t_hat=_mean_se([r.t_hat for r in good])[0],
+                rejections=_mean_se([r.rejections for r in good])[0],
                 failed_reps=len(cell) - len(good),
             )
         )

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import warnings
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from pairscreen import (
     build_stage2_design,
     run_two_stage,
 )
+import pairscreen.pipeline
 from pairscreen.cli import main
 from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix, write_csv_matrix
 from pairscreen.pipeline import _fit_outcome
@@ -187,21 +189,21 @@ def make_analysis_files(tmp_path, n=60, p=5, seed=0):
 PINNED_METRICS_CSV = """\
 alpha1,b,rep,fdp,power,omega,p1,t_hat,rejections,seed,error,fdp_se,power_se,power_reps,failed_reps
 0,0,0,0,,1.6666666666666667,4,1.6651092223153954,0,1,,,,,
-0.5,0,0,0,,0.8333333333333334,2,1.0364333894937896,0,1,,,,,
-0,0,1,0,,0.8333333333333334,2,1.0364333894937896,0,2,,,,,
+0.5,0,0,0,,0.8333333333333334,2,1.0364333894937894,0,1,,,,,
+0,0,1,0,,0.8333333333333334,2,1.0364333894937894,0,2,,,,,
 0.5,0,1,0,,0.6666666666666666,1,1.6651092223153954,0,2,,,,,
 0,0,2,,,,,,,3,ALL_FITS_FAILED,,,,
 0.5,0,2,,,,,,,3,ALL_FITS_FAILED,,,,
 0,0,3,0,,1.6666666666666667,4,1.6651092223153954,0,4,,,,,
-0.5,0,3,0,,1.1666666666666667,3,1.644853626951472,0,4,,,,,
+0.5,0,3,0,,1.1666666666666667,3,1.6448536269514726,0,4,,,,,
 0,2,0,0,0,1.6666666666666667,4,1.6651092223153954,0,1,,,,,
-0.5,2,0,1,0,1.1666666666666667,3,1.644853626951472,1,1,,,,,
+0.5,2,0,1,0,1.1666666666666667,3,1.6448536269514726,1,1,,,,,
 0,2,1,0,0,1.6666666666666667,4,1.6651092223153954,0,2,,,,,
-0.5,2,1,0,0,0.8333333333333334,2,1.0364333894937896,0,2,,,,,
+0.5,2,1,0,0,0.8333333333333334,2,1.0364333894937894,0,2,,,,,
 0,2,2,,,,,,,3,ALL_FITS_FAILED,,,,
 0.5,2,2,,,,,,,3,ALL_FITS_FAILED,,,,
 0,2,3,0,0,1.6666666666666667,4,1.6651092223153954,0,4,,,,,
-0.5,2,3,0,0,0.8333333333333334,2,1.0364333894937896,0,4,,,,,
+0.5,2,3,0,0,0.8333333333333334,2,1.0364333894937894,0,4,,,,,
 0,0,mean,0,,1.388888888888889,3.3333333333333335,1.45555061137486,0,1,,0,,0,1
 0.5,0,mean,0,,0.888888888888889,2,1.4487987462535523,0,1,,0,,0,1
 0,2,mean,0,0,1.6666666666666667,4,1.6651092223153954,0,1,,0,0,3,1
@@ -451,6 +453,45 @@ class TestAnalyzeCommand:
             t, code = _fit_outcome(design, y, LOGISTIC, 3)
             assert outcomes[(j, k)] == (None if code else t, code)
 
+    def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
+        x_path, y_path, _, _ = make_analysis_files(tmp_path)
+
+        class InProcessContext:
+            """A fork context whose Pool records its size and maps in this process."""
+
+            processes = []
+
+            def Pool(self, processes, initializer, initargs):
+                self.processes.append(processes)
+                initializer(*initargs)
+                return self
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, func, items):
+                return [func(item) for item in items]
+
+        def run(workers):
+            out_dir = tmp_path / f"w{workers}"
+            out_dir.mkdir()
+            argv = ["analyze", "--x", str(x_path), "--y", str(y_path), "--family", "gaussian",
+                    "--alpha1", "0", "--eta", "0.1", "--workers", str(workers),
+                    "--out", str(out_dir / "r.json")]
+            assert main(argv) == 0
+            return [(out_dir / name).read_bytes() for name in ("r.json", "r.rejected.csv")]
+
+        one = run(1)
+        context = InProcessContext()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pairscreen.pipeline, "_WORKER_TASK", ())
+        monkeypatch.setattr(pairscreen.pipeline.multiprocessing, "get_context", lambda _: context)
+        assert run(64) == one
+        assert context.processes == [2]  # 10 pairs, 64 workers asked, 2 CPUs
+
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)
         x = rng.standard_normal((50, 4))
@@ -625,14 +666,42 @@ class TestSimulateCommand:
         for line in lines[1:]:
             assert line.split(",")[power_idx] == ""
 
-    @pytest.mark.parametrize("bad", [{"b": [0.4, -1]}, {"b": "0.4,-1"}, {"alpha1": "0,-0.1"}])
+    def test_all_failed_cell_gets_a_blank_mean_row(self, tmp_path):
+        # every replicate of b = 0 fails stage 1 with ALL_FITS_FAILED
+        def run(b):
+            out = tmp_path / f"b{b}.csv"
+            argv = ["simulate", "--family", "logistic", "--n", "6", "--p", "4", "--b", b,
+                    "--alpha1", "0,0.5", "--eta", "0.1", "--reps", "3", "--seed", "2",
+                    "--out", str(out)]
+            assert main(argv) == 0
+            return out.read_text().splitlines()
+
+        both, alone = run("0,0.8"), run("0.8")
+        assert [line for line in both if line.split(",")[1] != "0"] == alone
+        means = [line for line in both if line.startswith(("0,0,mean,", "0.5,0,mean,"))]
+        header = both[0].split(",")
+        for line in means:
+            cells = dict(zip(header, line.split(",")))
+            assert (cells["failed_reps"], cells["power_reps"], cells["seed"]) == ("3", "0", "2")
+            assert all(cells[name] == "" for name in ("fdp", "fdp_se", "omega", "p1", "t_hat"))
+        assert len(means) == 2
+
+    @pytest.mark.parametrize(
+        "bad", [{"b": [0.4, -1]}, {"b": "0.4,-1"}, {"alpha1": "0,-0.1"}, {"alpha1": [0, 0]}]
+    )
     def test_bad_config_value_fails_before_running(self, tmp_path, capsys, monkeypatch, bad):
         monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)
         check_bad_config_value(tmp_path, capsys, "simulate", bad)
 
     @pytest.mark.parametrize(
         "bad, shown",
-        [(["--b", "0.4,-1"], "'-1'"), (["--b", "-1"], "'-1'"), (["--alpha1", "0,-0.1"], "'-0.1'")],
+        [
+            (["--b", "0.4,-1"], "'-1'"),
+            (["--b", "-1"], "'-1'"),
+            (["--alpha1", "0,-0.1"], "'-0.1'"),
+            (["--alpha1", "0.1,0.1"], "'0.1,0.1'"),  # a repeated value would merge its cells
+            (["--b", "0.4,0.40"], "'0.4,0.40'"),
+        ],
     )
     def test_bad_flag_fails_before_running(self, tmp_path, capsys, monkeypatch, bad, shown):
         monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)

@@ -5,11 +5,16 @@ implementation under test deliberately shares no code with the oracle.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special, stats
 
+import pairscreen
 from pairscreen import (
     gauss_tail_inverse,
     gauss_two_sided_tail,
@@ -39,7 +44,7 @@ class TestNormalCdf:
         # oracle: 7.619853e-24
         val = normal_cdf(-10.0)
         assert 0.0 < val < 1e-22
-        assert val == pytest.approx(phi_oracle(-10.0), rel=1e-6)
+        assert val == pytest.approx(phi_oracle(-10.0), rel=1e-6, abs=0.0)
 
     def test_against_reference_grid(self):
         # acceptance-grade bound: |Phi - reference| <= 1e-12 on [-8, 8]
@@ -70,13 +75,18 @@ class TestTwoSidedTail:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
     def test_no_premature_underflow(self):
-        # log-space branch keeps the tail nonzero until ~38
+        # the tail stays nonzero until it underflows near 38
         assert gauss_two_sided_tail(37.9) > 0.0
 
     def test_matches_erfc_oracle(self):
         for t in np.linspace(0.0, 8.0, 200):
             assert gauss_two_sided_tail(float(t)) == pytest.approx(
                 g_oracle(float(t)), abs=1e-12
+            )
+        # deep tail, where only a relative bound says anything
+        for t in np.linspace(8.0, 37.0, 300):
+            assert gauss_two_sided_tail(float(t)) == pytest.approx(
+                g_oracle(float(t)), rel=1e-12, abs=0.0
             )
 
     def test_negative_rejected(self):
@@ -98,13 +108,19 @@ class TestTailInverse:
         qs = np.concatenate(
             [
                 np.linspace(1e-6, 1.0, 400),
-                [1e-12, 1e-30, 1e-100, 1e-250, 0.999999999, 1.0],
+                [1e-12, 1e-30, 1e-100, 1e-250, 1e-300, 0.999999999, 1.0],
             ]
         )
         for q in qs:
             t = gauss_tail_inverse(float(q))
             assert t >= 0.0
             assert abs(gauss_two_sided_tail(t) - q) <= 1e-10
+            assert abs(gauss_two_sided_tail(t) - q) <= 1e-12 * q
+
+    def test_smallest_subnormal(self):
+        # q / 2 rounds to zero here, yet q is inside the domain
+        t = gauss_tail_inverse(5e-324)
+        assert 38.0 < t < 39.0
 
     def test_domain(self):
         for bad in (0.0, -0.3, 1.0000001, 2.0):
@@ -151,3 +167,13 @@ class TestNoncentralTail:
     def test_negative_alpha_rejected(self):
         with pytest.raises(ValueError):
             noncentral_two_sided_tail(-1.0, 0.0)
+
+
+def test_import_loads_no_scipy():
+    # SciPy is a test dependency only; the package runs on NumPy alone
+    src = str(Path(pairscreen.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, pairscreen; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
