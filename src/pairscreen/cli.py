@@ -116,7 +116,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="reject with |T| > t_hat instead of >=")
     pa.add_argument("--adjust-in-stage1", action="store_true", default=None,
                     help="include adjustment covariates in stage-1 designs too")
-    pa.add_argument("--workers", type=_workers, help="parallel workers for the pair loop")
+    pa.add_argument("--workers", type=_workers, help="parallel workers for stage-2 full fits")
     pa.add_argument("--out", type=str, help="output JSON report path")
 
     ps = sub.add_parser("simulate", help="run the seeded replicate harness")

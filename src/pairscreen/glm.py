@@ -9,6 +9,10 @@ Only the two families used by the testing procedure are provided:
 gaussian with identity link and Bernoulli with logit link.  The gaussian
 dispersion never needs to be estimated because the B matrix uses raw
 squared residuals, so it cancels from every Wald statistic.
+
+``fit_glm`` fits one model and owns every failure rule; the private
+``_batched_wald`` fits a block of models on stacked arrays, replaying those
+rules, and hands back to ``fit_glm`` each fit it cannot settle.
 """
 
 from __future__ import annotations
@@ -75,7 +79,8 @@ GAUSSIAN = Family(
 LOGISTIC = Family(
     name="bernoulli_logit",
     short_name="logistic",
-    cumulant=lambda theta: np.logaddexp(0.0, theta),  # log(1 + e^theta), overflow-safe
+    # log(1 + e^theta), overflow-safe
+    cumulant=lambda theta: np.maximum(theta, 0.0) + np.log1p(np.exp(-np.abs(theta))),
     # sigmoid(x) = (1 + tanh(x/2)) / 2: saturates cleanly at both ends
     mean=lambda theta: 0.5 * (1.0 + np.tanh(0.5 * theta)),
     variance_from_mean=lambda mu: mu * (1.0 - mu),
@@ -303,78 +308,99 @@ def wald_statistic(fit: GlmFit, coef_index: int) -> float:
     return value
 
 
-def _cell_loglik(theta, counts, sums, n):
-    return (sums * theta - counts * LOGISTIC.cumulant(theta)).sum(axis=1) / n
+_COND_TOL = 1e-12  # least Gram or Hessian eigenvalue ratio the batched kernel settles
+_RESID_FLOOR = 1e-8  # least mean squared residual, over mean squared y, it settles
 
 
-def _cell_score(mu, counts, sums, cells, n):
-    return np.max(np.abs((sums - counts * mu) @ cells), axis=1) / n
+def _conditioned_solve(mat, rhs, ok):
+    """x[i] with mat[i] @ x[i] = rhs[i], and ``ok`` narrowed to the finite
+    symmetric mat[i] with an eigenvalue ratio above _COND_TOL; the identity
+    stands in for the others."""
+    eye = np.eye(mat.shape[-1])
+    ok = ok & np.isfinite(mat).all(axis=(1, 2))
+    eig = np.linalg.eigvalsh(np.where(ok[:, None, None], mat, eye))
+    ok &= eig[:, 0] > _COND_TOL * eig[:, -1]
+    return np.linalg.solve(np.where(ok[:, None, None], mat, eye), rhs[..., None])[..., 0], ok
 
 
-def _logistic_cell_wald(counts, sums, cells: np.ndarray, coef_index: int) -> np.ndarray:
-    """Logistic Wald statistics of many saturated working fits at once.
+@np.errstate(all="ignore")  # a fit with non-finite values is handed back
+def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> np.ndarray:
+    """Wald statistics of a block of working fits, replaying fit_glm's rules.
 
-    Row i of ``counts`` and ``sums`` describes one fit: the number of
-    observations and the response sum in each cell, a cell being one row of
-    the invertible d x d matrix ``cells`` (a design built on the d distinct
-    covariate rows).  A design whose rows are all cells of ``cells`` is
-    saturated: the likelihood depends on the data only through the cell
-    counts, and fit_glm's Newton step in beta = cells^-1 theta is the step
-    theta_c += (p_c - mu_c) / (mu_c (1 - mu_c)) with p_c = sums_c / counts_c.
-    This replays fit_glm's logistic rules on the cells: start at beta = 0,
-    the score stopping rule, the log-likelihood acceptance test, the
-    |beta| box, and wald_statistic's degeneracy tests on the sandwich.
-
-    Returns the sqrt(n)-scaled T of coefficient ``coef_index`` for each row,
-    or NaN where fit_glm would need a rule not replayed here: an empty cell
-    (rank test), a pure cell (separation), a full step that fails the
-    acceptance test (step halving), an iterate outside the box, no
-    convergence, or a degenerate variance.  The caller fits those rows with
-    fit_glm.  With every cell mixed, fit_glm's other tests cannot fire: the
-    design's singular-value ratio is of order n^-1/2, and some residual is
-    at least 1/2.
+    Fit i has the rows of ``design[i]`` (B x r x d), responses ``y`` (shared
+    or B x r) and optional row ``weights`` (counts, shaped like ``y``).
+    Returns the sqrt(n)-scaled T of coefficient ``coef_index`` per fit, n
+    its weight sum, or NaN where fit_glm must decide: a fit that needs a
+    halved step, leaves the |beta| box, misses the score contract or fails
+    a residual or variance test, or has a Gram or Hessian eigenvalue ratio
+    below _COND_TOL (far above _RANK_TOL) or residuals below _RESID_FLOOR.
     """
-    counts = np.asarray(counts, dtype=float)
-    sums = np.asarray(sums, dtype=float)
-    inv = np.linalg.inv(cells)
-    stats = np.full(counts.shape[0], np.nan)
-    # an empty or pure cell needs fit_glm's rank or separation rules
-    live = np.flatnonzero(((sums > 0.0) & (sums < counts)).all(axis=1))
-    nc, sc = counts[live], sums[live]
-    n = nc.sum(axis=1)
-    phat = sc / nc
-    theta = np.zeros_like(nc)
-    mu = LOGISTIC.mean(theta)
-    ll = _cell_loglik(theta, nc, sc, n)
-    score = _cell_score(mu, nc, sc, cells, n)
-    ok = np.ones(live.size, dtype=bool)
-    active = np.flatnonzero(score > _SCORE_TARGET)
-    for _ in range(_MAX_ITER):
-        if active.size == 0:
-            break
-        m = mu[active]
-        cand = theta[active] + (phat[active] - m) / LOGISTIC.variance_from_mean(m)
-        cand_ll = _cell_loglik(cand, nc[active], sc[active], n[active])
-        full = cand_ll >= ll[active] - 1e-12 * (1.0 + np.abs(ll[active]))
-        keep = full & (np.max(np.abs(cand @ inv.T), axis=1) <= _SEPARATION_BOUND)
-        ok[active[~keep]] = False
-        active, cand = active[keep], cand[keep]
-        theta[active] = cand
-        mu[active] = LOGISTIC.mean(cand)
-        ll[active] = cand_ll[keep]
-        score[active] = _cell_score(mu[active], nc[active], sc[active], cells, n[active])
-        active = active[score[active] > _SCORE_TARGET]
-    ok &= score <= _SCORE_CONTRACT
+    xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x r
+    nb, d, r = xt.shape
+    rows, cols = np.triu_indices(d)
+    products = np.empty((nb, rows.size, r))  # products of design column pairs
+    for i, (a, b) in enumerate(zip(rows, cols)):
+        np.multiply(xt[:, a], xt[:, b], out=products[:, i])
+    w = np.ones((nb, r)) if weights is None else np.broadcast_to(weights, (nb, r)) * 1.0
+    y = np.broadcast_to(np.asarray(y, dtype=float), (nb, r))
+    index, n, stats = np.arange(nb), w.sum(axis=1), np.full(nb, np.nan)
 
-    # Sandwich A^-1 B A^-1 with diagonal cell-space A and B:
-    # var(beta_k) = sum_c inv[k, c]^2 B_cc / A_cc^2.
-    a_cell = nc * LOGISTIC.variance_from_mean(mu) / n[:, None]
-    b_cell = (sc * (1.0 - mu) ** 2 + (nc - sc) * mu**2) / n[:, None]
-    weight = inv[coef_index] ** 2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        var = (weight * b_cell / a_cell**2).sum(axis=1)
-        model_var = (weight / a_cell).sum(axis=1)
-        stat = np.sqrt(n) * (theta @ inv[coef_index]) / np.sqrt(var)
-    ok &= np.isfinite(var) & (var > 0.0) & (var >= 1e-24 * model_var) & np.isfinite(stat)
-    stats[live[ok]] = stat[ok]
+    def moment(v):  # mean(v x x^T) per fit, from one stacked product
+        flat = (products @ v[..., None])[..., 0] / n[:, None]
+        mat = np.empty((flat.shape[0], d, d))
+        mat[:, rows, cols] = mat[:, cols, rows] = flat
+        return mat
+
+    def mean_x(v):  # mean(v x) per fit
+        return (xt @ v[..., None])[..., 0] / n[:, None]
+
+    def loglik(theta):
+        y_theta = np.einsum("br,br->b", w * y, theta)
+        return (y_theta - np.einsum("br,br->b", w, family.cumulant(theta))) / n
+
+    def settle(beta, mu):
+        """Record the T of each fit with finite ``beta`` that passes the
+        residual rules and wald_statistic's tests, from the sandwich at mu."""
+        resid = y - mu
+        wr2 = w * resid**2
+        # residuals far below y lose their digits to cancellation in y - mu
+        ok = wr2.sum(axis=1) >= _RESID_FLOOR * (w * y**2).sum(axis=1)
+        if family is LOGISTIC:
+            ok &= np.where(w > 0.0, np.abs(resid), 0.0).max(axis=1) >= 1e-6
+        a_mat = moment(w * family.variance_from_mean(mu))
+        u, ok = _conditioned_solve(a_mat, np.broadcast_to(np.eye(d)[coef_index], beta.shape), ok)
+        var = np.einsum("bi,bij,bj->b", u, moment(wr2), u)  # u = A^-1 e_k
+        stat = np.sqrt(n) * beta[:, coef_index] / np.sqrt(var)
+        ok &= np.isfinite(var) & (var > 0.0) & (var >= 1e-24 * u[:, coef_index]) & np.isfinite(stat)
+        stats[index[ok]] = stat[ok]
+
+    # Newton steps from beta = 0: the first Hessian is a multiple of the Gram
+    # matrix, so its test is the rank test, and a gaussian fit is done after
+    # that one step.  A fit stops at the score target; one that fails a test
+    # stops with beta = NaN, which hands it back.  Once half of the block has
+    # stopped, the stopped fits are settled and dropped.
+    beta, theta, going = np.zeros((nb, d)), np.zeros((nb, r)), np.ones(nb, dtype=bool)
+    ll, mu = loglik(theta), family.mean(theta)
+    score = mean_x(w * (y - mu))
+    for _ in range(_MAX_ITER):
+        going &= np.abs(score).max(axis=1) > _SCORE_TARGET
+        if 2 * np.count_nonzero(going) <= going.size:
+            settle(np.where(going[:, None], np.nan, beta), mu)
+            block = (index, xt, products, y, w, n, beta, ll, mu, score, going)
+            index, xt, products, y, w, n, beta, ll, mu, score, going = (a[going] for a in block)
+            if going.size == 0:
+                return stats
+        hess = moment(w * family.variance_from_mean(mu))
+        step, ok = _conditioned_solve(hess, score, going)
+        cand = beta + step
+        theta = (cand[:, None, :] @ xt)[:, 0]
+        cand_ll = loglik(theta)
+        ok &= cand_ll >= ll - 1e-12 * (1.0 + np.abs(ll))
+        if family is LOGISTIC:
+            ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
+        beta = np.where(ok[:, None], cand, np.where(going[:, None], np.nan, beta))
+        ll, going = np.where(ok, cand_ll, ll), ok
+        mu = np.where(ok[:, None], family.mean(theta), mu)
+        score = np.where(ok[:, None], mean_x(w * (y - mu)), score)
+    settle(np.where(np.abs(score).max(axis=1, keepdims=True) <= _SCORE_CONTRACT, beta, np.nan), mu)
     return stats

@@ -34,7 +34,7 @@ from .errors import AllFitsFailed, DegenerateVariance, Separation, SingularDesig
 from .glm import (
     LOGISTIC,
     Family,
-    _logistic_cell_wald,
+    _batched_wald,
     build_stage1_design,
     build_stage2_design,
     fit_glm,
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 INTERACTION_INDEX = 3  # column of x_j * x_k in the stage-2 design
-_PAIR_BLOCK = 8192  # pairs per cell-count block in stage 2
+_BLOCK_ROWS = 1 << 16  # design rows per block of batched stage-2 fits
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class Dataset:
         if x.ndim != 2:
             raise ValueError("x must be an n x p matrix")
         n, p = x.shape
-        if n < 5 or p < 2:
-            raise ValueError(f"need n >= 5 and p >= 2, got n={n}, p={p}")
+        if p < 2:
+            raise ValueError(f"need p >= 2, got p={p}")
         if y.shape != (n,):
             raise ValueError(f"y must have length {n}")
         if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -90,6 +90,9 @@ class Dataset:
             if adj.shape[0] != n or not np.isfinite(adj).all():
                 raise ValueError("adjust must be a finite n x q matrix")
             object.__setattr__(self, "adjust", adj)
+        d = 4 if self.adjust is None else 4 + self.adjust.shape[1]
+        if n <= d:
+            raise ValueError(f"need n > {d}, the columns of a stage-2 design, got n={n}")
         if self.labels is not None and len(self.labels) != p:
             raise ValueError("labels must match the number of columns")
 
@@ -224,29 +227,47 @@ def _test_one_pair(x, y, family, adjust, pair):
     return _fit_outcome(design, y, family, INTERACTION_INDEX)
 
 
-def _cell_pair_stats(data: Dataset, cols: np.ndarray, jj, kk) -> np.ndarray:
-    """Interaction T for the pairs (jj, kk) of the 0/1 columns ``cols``,
-    fitted from cell counts; NaN where the pair needs a full fit.
+def _batched_pair_stats(x, y, family: Family, adjust, j, k) -> np.ndarray:
+    """Interaction T of the pairs ``(j[i], k[i])`` from the batched kernel,
+    NaN where a pair needs a full fit; ``y`` is shared or one row per pair.
+    A block's design is one stage-2 design over its pairs' columns laid end
+    to end (``adjust`` repeated per pair), at most ``_BLOCK_ROWS`` rows."""
+    n = x.shape[0]
+    step = max(1, _BLOCK_ROWS // n)
+    t = np.empty(j.size)
+    for lo in range(0, j.size, step):
+        jb, kb = j[lo : lo + step], k[lo : lo + step]
+        adj = None if adjust is None else np.tile(adjust, (jb.size, 1))
+        design = build_stage2_design(x.T[jb].ravel(), x.T[kb].ravel(), adj).values
+        yb = y if y.ndim == 1 else y[lo : lo + step]
+        t[lo : lo + step] = _batched_wald(
+            design.reshape(jb.size, n, -1), yb, family, INTERACTION_INDEX
+        )
+    return t
 
-    Counts and response sums of the (1, 1) cells come from Gram matrices
-    (0/1 sums, exact in float64); the other three cells follow by
-    subtraction.  The pairs run in blocks of ``_PAIR_BLOCK``.
+
+def _cell_pair_stats(data: Dataset, cols: np.ndarray, jj, kk) -> np.ndarray:
+    """Interaction T for the pairs (jj, kk) of the 0/1 columns ``cols``, each
+    fitted on 8 rows: the cells (x_j, x_k) = 00, 10, 01, 11 with y = 1 and
+    with y = 0, weighted by their counts.  Counts and response sums of the
+    (1, 1) cells come from Gram matrices (0/1 sums, exact in float64); the
+    other cells follow by subtraction.  NaN where the pair needs a full fit.
     """
-    # the stage-2 design of the cells (a, b) = 00, 10, 01, 11
     cells = build_stage2_design(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
-    gram = cols.T @ cols
-    y_gram = (cols * data.y[:, None]).T @ cols
-    n, y_sum = data.n, data.y.sum()
-    stats = np.empty(jj.size)
-    for lo in range(0, jj.size, _PAIR_BLOCK):
-        j, k = jj[lo : lo + _PAIR_BLOCK], kk[lo : lo + _PAIR_BLOCK]
+    design, y = np.concatenate([cells.values, cells.values]), np.repeat([1.0, 0.0], 4)
+    gram, y_gram = cols.T @ cols, (cols * data.y[:, None]).T @ cols
+    stats = np.full(jj.size, np.nan)
+    step = _BLOCK_ROWS // design.shape[0]
+    for lo in range(0, jj.size, step):
+        j, k = jj[lo : lo + step], kk[lo : lo + step]
         n11, na, nb = gram[j, k], gram[j, j], gram[k, k]
         s11, sa, sb = y_gram[j, k], y_gram[j, j], y_gram[k, k]
-        counts = np.column_stack([n - na - nb + n11, na - n11, nb - n11, n11])
-        sums = np.column_stack([y_sum - sa - sb + s11, sa - s11, sb - s11, s11])
-        stats[lo : lo + _PAIR_BLOCK] = _logistic_cell_wald(
-            counts, sums, cells.values, INTERACTION_INDEX
-        )
+        counts = np.column_stack([data.n - na - nb + n11, na - n11, nb - n11, n11])
+        sums = np.column_stack([data.y.sum() - sa - sb + s11, sa - s11, sb - s11, s11])
+        weights = np.hstack([sums, counts - sums])
+        live = np.flatnonzero((weights > 0.0).all(axis=1))  # no empty or pure cell
+        stack = np.broadcast_to(design, (live.size, *design.shape))
+        stats[lo + live] = _batched_wald(stack, y, LOGISTIC, INTERACTION_INDEX, weights[live])
     return stats
 
 
@@ -255,19 +276,20 @@ def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairT
 
     Pairs are enumerated lexicographically (j < k) and the result is
     identical for any worker count; a failed fit leaves T = NaN and its
-    status code.  Logistic pairs of 0/1 columns without adjusters are
-    fitted from cell counts; the pairs among them that need a full fit, and
-    all other pairs, go to the worker pool.
+    status code.  The batched kernel fits the pairs, logistic pairs of 0/1
+    columns without adjusters from their cell counts; the pairs it hands
+    back get a full fit each, in the worker pool.
     """
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
     cols = data.x[:, idx]
-    t = np.full(jj.size, np.nan)
+    pair_j, pair_k = idx[jj], idx[kk]
     if data.family is LOGISTIC and data.adjust is None and ((cols == 0.0) | (cols == 1.0)).all():
         t = _cell_pair_stats(data, cols, jj, kk)
+    else:
+        t = _batched_pair_stats(data.x, data.y, data.family, data.adjust, pair_j, pair_k)
     status = np.full(jj.size, "", dtype=object)
     todo = np.flatnonzero(np.isnan(t))
-    pair_j, pair_k = idx[jj], idx[kk]
     items = list(zip(pair_j[todo].tolist(), pair_k[todo].tolist()))
     shared = (data.x, data.y, data.family, data.adjust)
     fitted = _map_items(_test_one_pair, shared, items, workers)

@@ -33,8 +33,8 @@ import numpy as np
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
 from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import Dataset, PairTestResult, _cutoff_and_reject, _map_items, _test_one_pair
-from .pipeline import alpha_from_rate
+from .pipeline import _BLOCK_ROWS, Dataset, PairTestResult, _batched_pair_stats
+from .pipeline import _cutoff_and_reject, _map_items, _test_one_pair, alpha_from_rate
 # the benchmark's trace hooks patch these names here
 from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
@@ -290,9 +290,15 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     pairs = PairTestResult(
         j=wide[jj], k=wide[kk], t=np.full(jj.size, np.nan), status=np.full(jj.size, "", object)
     )
-    for i, (j, k) in enumerate(zip(pairs.j.tolist(), pairs.k.tolist())):
-        y_jk = gen_pair_response(design, truth, cfg, j, k)
-        pairs.t[i], pairs.status[i] = _test_one_pair(design, y_jk, family, None, (j, k))
+    step = max(1, _BLOCK_ROWS // cfg.n)  # pairs per block of batched fits
+    for lo in range(0, pairs.j.size, step):
+        j, k = pairs.j[lo : lo + step], pairs.k[lo : lo + step]
+        jk = list(zip(j.tolist(), k.tolist()))
+        y = np.stack([gen_pair_response(design, truth, cfg, *pair) for pair in jk])
+        pairs.t[lo : lo + step] = _batched_pair_stats(design, y, family, None, j, k)
+        for i in np.flatnonzero(np.isnan(pairs.t[lo : lo + step])).tolist():
+            fitted = _test_one_pair(design, y[i], family, None, jk[i])
+            pairs.t[lo + i], pairs.status[lo + i] = fitted
     rows: list[ReplicateRow] = []
     for alpha1, alpha in zip(alpha1_list, alphas):
         p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)

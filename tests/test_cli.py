@@ -454,7 +454,9 @@ class TestAnalyzeCommand:
             assert outcomes[(j, k)] == (None if code else t, code)
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
-        x_path, y_path, _, _ = make_analysis_files(tmp_path)
+        x_path, y_path, x, _ = make_analysis_files(tmp_path)
+        x[:, 1] = x[:, 2] = x[:, 0]  # pairs (0, 1), (0, 2), (1, 2) need full fits
+        write_csv_matrix(x_path, x, tuple(f"v{i}" for i in range(x.shape[1])))
 
         class InProcessContext:
             """A fork context whose Pool records its size and maps in this process."""
@@ -490,7 +492,7 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(pairscreen.pipeline, "_WORKER_TASK", ())
         monkeypatch.setattr(pairscreen.pipeline.multiprocessing, "get_context", lambda _: context)
         assert run(64) == one
-        assert context.processes == [2]  # 10 pairs, 64 workers asked, 2 CPUs
+        assert context.processes == [2]  # 3 full fits, 64 workers asked, 2 CPUs
 
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -519,6 +521,36 @@ class TestAnalyzeCommand:
         t_adj = {(r["j"], r["k"]): r["t_jk"] for r in adjusted["pairs"]}
         assert t_plain.keys() == t_adj.keys()
         assert any(t_plain[key] != t_adj[key] for key in t_plain)
+
+    def test_too_wide_adjust_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # n = 6 rows cannot fit the 4 + 2 columns of an adjusted stage-2 design
+        rng = np.random.default_rng(15)
+        write_csv_matrix(tmp_path / "x.csv", rng.standard_normal((6, 3)), ("a", "b", "c"))
+        write_csv_matrix(tmp_path / "y.csv", rng.standard_normal((6, 1)), ("y",))
+        write_csv_matrix(tmp_path / "adj.csv", rng.standard_normal((6, 2)), ("pc1", "pc2"))
+        real_fit, fits = pairscreen.pipeline.fit_glm, []
+
+        def fit_glm(*args):
+            fits.append(args)
+            return real_fit(*args)
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        code = main(
+            [
+                "analyze",
+                "--x", str(tmp_path / "x.csv"),
+                "--y", str(tmp_path / "y.csv"),
+                "--adjust", str(tmp_path / "adj.csv"),
+                "--family", "gaussian",
+                "--alpha1", "0",
+                "--eta", "0.1",
+                "--out", str(tmp_path / "r.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error INVALID_CONFIG: need n > 6")
+        assert fits == []
+        assert not (tmp_path / "r.json").exists()
 
     def test_config_file_with_flag_override(self, tmp_path):
         x_path, y_path, _, _ = make_analysis_files(tmp_path, seed=11)

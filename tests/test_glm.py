@@ -324,3 +324,11 @@ class TestInvariants:
         assert family_from_name("bernoulli_logit") is LOGISTIC
         with pytest.raises(ValueError):
             family_from_name("poisson")
+
+    def test_logistic_cumulant_is_log_one_plus_exp(self):
+        theta = np.linspace(-750.0, 750.0, 300_001)
+        reference = np.logaddexp(0.0, theta)
+        got = LOGISTIC.cumulant(theta)
+        assert np.array_equal(got == 0.0, reference == 0.0)
+        nonzero = reference != 0.0
+        assert np.max(np.abs(got[nonzero] / reference[nonzero] - 1.0)) <= 1e-15

@@ -31,7 +31,7 @@ from pairscreen import (
     stage2_tests,
     theoretical_cstar,
 )
-from pairscreen.pipeline import alpha_from_rate
+from pairscreen.pipeline import ScreenResult, alpha_from_rate
 
 
 def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
@@ -216,9 +216,22 @@ class TestStage2:
         assert_same_pairs(seq, par)
 
 
+def hand_back(monkeypatch, flagged):
+    """Make the batched stage-2 kernel hand the flagged designs to fit_glm."""
+    real_kernel = pairscreen.pipeline._batched_wald
+
+    def batched_wald(design, *args):
+        stats = real_kernel(design, *args)
+        stats[[flagged(v) for v in design]] = np.nan
+        return stats
+
+    monkeypatch.setattr(pairscreen.pipeline, "_batched_wald", batched_wald)
+
+
 class TestNotConverged:
     """A fit that ends without meeting the score criterion is a failure with
-    its own code; the real fit is marked unconverged for chosen columns."""
+    its own code; the real fit is marked unconverged for chosen columns, and
+    the batched kernel hands chosen pairs to that fit."""
 
     def patch_fit(self, monkeypatch, flagged):
         real_fit = pairscreen.pipeline.fit_glm
@@ -243,12 +256,14 @@ class TestNotConverged:
     def test_stage2_pair(self, monkeypatch):
         data = make_dataset(np.random.default_rng(9))
         col_j, col_k = data.x[:, 1], data.x[:, 3]
-        self.patch_fit(
-            monkeypatch,
-            lambda v: v.shape[1] == 4
-            and np.array_equal(v[:, 1], col_j)
-            and np.array_equal(v[:, 2], col_k),
-        )
+
+        def flagged(v):
+            return v.shape[1] == 4 and np.array_equal(v[:, 1], col_j) and np.array_equal(
+                v[:, 2], col_k
+            )
+
+        hand_back(monkeypatch, flagged)
+        self.patch_fit(monkeypatch, flagged)
         report = run_two_stage(data, alpha1=0.0, eta=0.1)
         fitted, skipped = fitted_and_skipped(report.pairs)
         assert skipped == [(1, 3, "NOT_CONVERGED")]
@@ -366,6 +381,119 @@ class TestCellCounts:
         assert self.pairs_with_a_pure_cell(x, y) == [(1, 3)]
         data = Dataset(x=x, y=y, family=LOGISTIC)
         assert self.count_pair_fits(monkeypatch, data) == [(1, 3)]
+
+
+@st.composite
+def continuous_pair_data(draw):
+    """Continuous columns, some copied, constant, affine-dependent or huge;
+    logistic responses that may be nearly separated, or gaussian ones that
+    may be an exact fit of one pair's design, at two scales; with or
+    without adjusters."""
+    family = draw(st.sampled_from([LOGISTIC, GAUSSIAN]))
+    q = draw(st.integers(0, 2))
+    n = draw(st.integers(5 + q, 60))
+    p = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p))
+    for j in range(p):
+        kind = draw(st.sampled_from(["random", "random", "copy", "constant", "affine", "huge"]))
+        if j > 0 and kind == "copy":
+            x[:, j] = x[:, j - 1]
+        elif kind == "constant":
+            x[:, j] = 1.5
+        elif j > 0 and kind == "affine":
+            x[:, j] = 2.0 * x[:, j - 1] - 0.5
+        elif kind == "huge":  # products of design columns overflow
+            x[:, j] *= 1e80
+    adjust = rng.standard_normal((n, q)) if q else None
+    slope = draw(st.sampled_from([0.5, 2.0, 50.0] if family is LOGISTIC else [0.5, 2.0]))
+    theta = slope * (x[:, 0] - x[:, -1] + x[:, 0] * x[:, -1])
+    if family is GAUSSIAN:
+        y = 1.0 + theta + (0.0 if draw(st.booleans()) else rng.standard_normal(n))
+        y *= draw(st.sampled_from([1.0, 1e4]))  # exact fits at scale keep rounding residuals
+    else:
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-np.clip(theta, -35, 35)))).astype(float)
+    return x, y, family, adjust
+
+
+def close_or_failed(got, want, code):
+    """``got`` is NaN where the full fit failed with ``code``, and else within
+    1e-10 of ``want``, relative above |T| = 1: two evaluations of T in
+    float64 differ in relative terms, and a T near 100 occurs on n = 5."""
+    if code:
+        return math.isnan(got)
+    return abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
+
+class TestBatchedFits:
+    """Stage-2 pairs are fitted in blocks by the batched kernel, which hands
+    back what only fit_glm can decide; the outcomes must be those of
+    fit_glm on each pair's own design."""
+
+    @staticmethod
+    def full_fits(x, y, family, adjust, jj, kk):
+        """``_fit_outcome`` per pair; ``y`` is shared or one row per pair."""
+        ys = np.broadcast_to(y, (jj.size, x.shape[0]))
+        return [
+            pairscreen.pipeline._fit_outcome(
+                build_stage2_design(x[:, j], x[:, k], adjust), y_jk, family, 3
+            )
+            for j, k, y_jk in zip(jj.tolist(), kk.tolist(), ys)
+        ]
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=continuous_pair_data())
+    def test_same_outcomes_as_full_fits(self, case):
+        x, y, family, adjust = case
+        data = Dataset(x=x, y=y, family=family, adjust=adjust)
+        screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+        result = stage2_tests(data, screen)
+        expected = self.full_fits(x, y, family, adjust, result.j, result.k)
+        assert result.status.tolist() == [code for _, code in expected]
+        for got, (want, code) in zip(result.t.tolist(), expected):
+            assert close_or_failed(got, want, code)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=continuous_pair_data(), seed=st.integers(0, 2**32 - 1))
+    def test_one_response_per_pair(self, case, seed):
+        # simulate's path: each pair brings its own response
+        x, _, family, _ = case
+        jj, kk = np.triu_indices(x.shape[1], 1)
+        rng = np.random.default_rng(seed)
+        if family is GAUSSIAN:
+            ys = rng.standard_normal((jj.size, x.shape[0])) + x[:, jj].T * x[:, kk].T
+        else:
+            ys = (rng.random((jj.size, x.shape[0])) < 0.3).astype(float)
+        stats = pairscreen.pipeline._batched_pair_stats(x, ys, family, None, jj, kk)
+        for got, (want, code) in zip(stats.tolist(), self.full_fits(x, ys, family, None, jj, kk)):
+            assert math.isnan(got) or close_or_failed(got, want, code)
+
+    @staticmethod
+    def pair_fits(monkeypatch, data):
+        """Run both stages; return the pairs that stage 2 fitted with fit_glm."""
+        screen = stage1_screen(data, 0.0)
+        real_fit, fitted = pairscreen.pipeline.fit_glm, []
+
+        def fit_glm(design, y, family):
+            fitted.append(tuple(design.values[:, 1:3].T.tolist()))
+            return real_fit(design, y, family)
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        result = stage2_tests(data, screen)
+        cols = data.x.T.tolist()
+        pairs = [(j, k) for j in range(data.p) for k in range(j + 1, data.p)]
+        return [(j, k) for a, b in fitted for j, k in pairs if [cols[j], cols[k]] == [a, b]], result
+
+    def test_full_fits_only_for_handed_back_pairs(self, monkeypatch):
+        data = make_dataset(np.random.default_rng(32), n=200, p=6, family=LOGISTIC)
+        assert self.pair_fits(monkeypatch, data)[0] == []
+
+        x = data.x.copy()
+        x[:, 4] = x[:, 2]
+        data = Dataset(x=x, y=data.y, family=LOGISTIC)
+        fitted, result = self.pair_fits(monkeypatch, data)
+        assert fitted == [(2, 4)]
+        assert fitted_and_skipped(result)[1] == [(2, 4, "SINGULAR_DESIGN")]
 
 
 class TestFdrCutoff:

@@ -242,16 +242,22 @@ class TestRunReplicates:
         assert plain.p1 == cfg.p
         assert abs(t[(j, k)]) >= plain.t_hat  # rejected when its fit converges
 
-        real_fit = pairscreen.pipeline.fit_glm
+        def flagged(v):
+            pair_design = v.shape[1] == 4 and np.array_equal(v[:, 1], x[:, j])
+            return pair_design and np.array_equal(v[:, 2], x[:, k])
+
+        real_kernel, real_fit = pairscreen.pipeline._batched_wald, pairscreen.pipeline.fit_glm
+
+        def batched_wald(design, *args):  # hands the pair to fit_glm
+            stats = real_kernel(design, *args)
+            stats[[flagged(v) for v in design]] = np.nan
+            return stats
 
         def fit_glm(design, y, family):
             fit = real_fit(design, y, family)
-            v = design.values
-            pair_design = v.shape[1] == 4 and np.array_equal(v[:, 1], x[:, j])
-            if pair_design and np.array_equal(v[:, 2], x[:, k]):
-                return dataclasses.replace(fit, converged=False)
-            return fit
+            return dataclasses.replace(fit, converged=False) if flagged(design.values) else fit
 
+        monkeypatch.setattr(pairscreen.pipeline, "_batched_wald", batched_wald)
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
         (row,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
         assert (row.p1, row.omega) == (plain.p1, plain.omega)
