@@ -19,8 +19,9 @@ Responses follow the pairwise construction of the reference experiments:
 Randomness comes from Philox (counter-based, 64-bit) streams keyed by
 ``(seed, substream)``; normal variates use NumPy's ziggurat sampler.
 Replicate r of a run with base seed s uses seed s + r, and every pair
-response has its own substream, which makes results independent of worker
-scheduling and of the order in which pairs are evaluated.
+response has its own substream, drawn a block of pairs at a time through one
+Philox re-keyed per pair; results do not depend on worker scheduling, on the
+block split or on the order in which pairs are evaluated.
 """
 
 from __future__ import annotations
@@ -199,31 +200,31 @@ def gen_response(design: np.ndarray, truth: SimTruth, config: SimConfig) -> np.n
     return _draw_response(theta, config, rng)
 
 
-def pair_predictor(design: np.ndarray, truth: SimTruth, config: SimConfig, j: int, k: int):
-    """theta_jk for one tested pair, including misspecification extras."""
-    if not j < k:
-        raise ValueError(f"pair must satisfy j < k, got ({j}, {k})")
-    theta = (
-        config.intercept
-        + truth.beta1[j] * design[:, j]
-        + truth.beta1[k] * design[:, k]
-        + truth.beta3[j, k] * design[:, j] * design[:, k]
-    )
-    (l, u, v), (b4, b5) = truth.extra_vars[j, k], truth.extra_coef[j, k]
-    if b4 != 0.0:
-        theta = theta + b4 * design[:, l]
-    if b5 != 0.0:
-        theta = theta + b5 * design[:, u] * design[:, v]
-    return theta
+def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j, k) -> np.ndarray:
+    """Responses from theta_jk, extras included, for the pairs ``(j[i], k[i])``:
+    one row per pair (an n-vector for scalar j, k), each from its own substream
+    through one Philox re-keyed per pair, so a row does not depend on the block."""
+    jj, kk = np.atleast_1d(j, k)
+    if jj.shape != kk.shape or jj.ndim != 1 or not ((0 <= jj) & (jj < kk) & (kk < config.p)).all():
+        raise ValueError(f"pairs must be index vectors with 0 <= j < k < p = {config.p}")
+    x = design.T
+    theta = (config.intercept + truth.beta1[jj, None] * x[jj]) + truth.beta1[kk, None] * x[kk]
+    theta = theta + truth.beta3[jj, kk, None] * x[jj] * x[kk]
+    (l, u, v), (b4, b5) = truth.extra_vars[jj, kk].T, truth.extra_coef[jj, kk].T[..., None]
+    theta = np.where(b4 != 0.0, theta + b4 * x[l], theta)  # bitwise as if skipped
+    theta = np.where(b5 != 0.0, theta + b5 * x[u] * x[v], theta)
 
-
-def gen_pair_response(
-    design: np.ndarray, truth: SimTruth, config: SimConfig, j: int, k: int
-) -> np.ndarray:
-    """Response for the pair (j, k) from its own substream; identical for
-    any evaluation order or worker schedule."""
-    rng = _stream(config.seed, _STREAM_PAIR_BASE + j * config.p + k)
-    return _draw_response(pair_predictor(design, truth, config, j, k), config, rng)
+    key = np.array([config.seed & _SEED_MASK, 0], dtype=np.uint64)
+    zero = np.zeros(4, dtype=np.uint64)
+    state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key}, "buffer": zero,
+             "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # counter 0, empty buffer
+    rng = np.random.Generator(np.random.Philox(key=key))
+    y = np.empty_like(theta)
+    for i, tag in enumerate((_STREAM_PAIR_BASE + jj * config.p + kk).tolist()):
+        key[1] = tag & _SEED_MASK
+        rng.bit_generator.state = state  # the setter copies: a fresh stream per pair
+        y[i] = _draw_response(theta[i], config, rng)
+    return y if np.ndim(j) else y[0]
 
 
 @dataclass(frozen=True)
@@ -293,11 +294,10 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     step = max(1, _BLOCK_ROWS // cfg.n)  # pairs per block of batched fits
     for lo in range(0, pairs.j.size, step):
         j, k = pairs.j[lo : lo + step], pairs.k[lo : lo + step]
-        jk = list(zip(j.tolist(), k.tolist()))
-        y = np.stack([gen_pair_response(design, truth, cfg, *pair) for pair in jk])
+        y = gen_pair_response(design, truth, cfg, j, k)
         pairs.t[lo : lo + step] = _batched_pair_stats(design, y, family, None, j, k)
         for i in np.flatnonzero(np.isnan(pairs.t[lo : lo + step])).tolist():
-            fitted = _test_one_pair(design, y[i], family, None, jk[i])
+            fitted = _test_one_pair(design, y[i], family, None, (j[i], k[i]))
             pairs.t[lo + i], pairs.status[lo + i] = fitted
     rows: list[ReplicateRow] = []
     for alpha1, alpha in zip(alpha1_list, alphas):

@@ -6,9 +6,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import pairscreen.pipeline
+import pairscreen.simulate
 from pairscreen import (
     GAUSSIAN,
     SimConfig,
@@ -175,6 +178,66 @@ class TestGenResponse:
         assert float(np.mean(y)) == pytest.approx(2.5, abs=0.1)
 
 
+def one_pair_response(x, truth, cfg, j, k):
+    """Pair (j, k)'s response drawn on its own: a fresh Philox keyed by
+    (seed, 2**32 + j*p + k) and the scalar predictor, term by term."""
+    rng = np.random.Generator(np.random.Philox(key=[cfg.seed, 2**32 + j * cfg.p + k]))
+    theta = (
+        cfg.intercept
+        + truth.beta1[j] * x[:, j]
+        + truth.beta1[k] * x[:, k]
+        + truth.beta3[j, k] * x[:, j] * x[:, k]
+    )
+    (l, u, v), (b4, b5) = truth.extra_vars[j, k], truth.extra_coef[j, k]
+    if b4 != 0.0:
+        theta = theta + b4 * x[:, l]
+    if b5 != 0.0:
+        theta = theta + b5 * x[:, u] * x[:, v]
+    if cfg.family == "gaussian":
+        return theta + rng.standard_normal(theta.size)
+    prob = 1.0 / (1.0 + np.exp(-np.clip(theta, -35.0, 35.0)))
+    return (rng.random(theta.size) < prob).astype(float)
+
+
+@st.composite
+def pair_draw_cases(draw):
+    cfg = base_config(
+        n=draw(st.integers(5, 40)),
+        p=draw(st.integers(3, 12)),
+        family=draw(st.sampled_from(["gaussian", "logistic"])),
+        b=draw(st.sampled_from([0.0, 0.5, 1.5])),
+        seed=draw(st.integers(0, 2**40)),
+        misspecified=draw(st.booleans()),
+        cov_kind=draw(st.sampled_from(["identity", "ar1"])),
+    )
+    all_pairs = [(j, k) for j in range(cfg.p) for k in range(j + 1, cfg.p)]
+    pairs = draw(st.lists(st.sampled_from(all_pairs), min_size=1, unique=True))
+    return cfg, np.array(pairs).T
+
+
+class TestGenPairResponse:
+    @settings(max_examples=200, deadline=None)
+    @given(case=pair_draw_cases())
+    def test_rows_equal_one_pair_draws_bitwise(self, case):
+        cfg, (j, k) = case
+        truth, x = gen_truth(cfg), gen_design(cfg)
+        y = gen_pair_response(x, truth, cfg, j, k)
+        assert y.shape == (j.size, cfg.n)
+        for row, a, b in zip(y, j.tolist(), k.tolist()):
+            assert row.tobytes() == one_pair_response(x, truth, cfg, a, b).tobytes()
+        single = gen_pair_response(x, truth, cfg, int(j[0]), int(k[0]))
+        assert single.shape == (cfg.n,) and single.tobytes() == y[0].tobytes()
+
+    @pytest.mark.parametrize(
+        "j, k", [(-1, 3), (2, 10), (4, 4), (5, 2), ([0, -1], [1, 2]), ([0, 1], [9, 10])]
+    )
+    def test_pairs_outside_the_upper_triangle_are_rejected(self, j, k):
+        cfg = base_config(misspecified=True)
+        truth, x = gen_truth(cfg), gen_design(cfg)
+        with pytest.raises(ValueError, match="0 <= j < k < p"):
+            gen_pair_response(x, truth, cfg, j, k)
+
+
 class TestRunReplicates:
     def test_single_replicate_deterministic(self):
         cfg = base_config(n=120, p=8, b=0.8)
@@ -220,6 +283,14 @@ class TestRunReplicates:
         seq = run_replicates(cfg, [0.0, 0.2], eta=0.1, reps=4, workers=1)
         par = run_replicates(cfg, [0.0, 0.2], eta=0.1, reps=4, workers=4)
         assert seq == par
+
+    @pytest.mark.parametrize("pairs_per_block", [1, 2, 3])
+    def test_rows_do_not_depend_on_block_split(self, monkeypatch, pairs_per_block):
+        cfg = base_config(n=60, p=12, b=0.6, seed=11, misspecified=True)
+        whole = run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3)
+        monkeypatch.setattr(pairscreen.simulate, "_BLOCK_ROWS", cfg.n * pairs_per_block)
+        assert run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3, workers=1) == whole
+        assert run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3, workers=2) == whole
 
     def test_alpha1_list_rows_equal_each_alpha1_run_alone(self):
         # the pairs are fitted once per replicate and masked for each alpha1
