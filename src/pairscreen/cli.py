@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -29,27 +30,14 @@ from .errors import InvalidConfig, PairscreenError
 from .glm import family_from_name
 from .pipeline import Dataset, run_two_stage
 from .report import write_report
-from .simulate import SimConfig, aggregate_rows, run_replicates
+from .simulate import AggregateRow, ReplicateRow, SimConfig, aggregate_rows, run_replicates
 
 __all__ = ["main"]
 
-_METRICS_COLUMNS = [
-    "alpha1",
-    "b",
-    "rep",
-    "fdp",
-    "power",
-    "omega",
-    "p1",
-    "t_hat",
-    "rejections",
-    "seed",
-    "error",
-    "fdp_se",
-    "power_se",
-    "power_reps",
-    "failed_reps",
-]
+# the fields of ReplicateRow, then those only AggregateRow has
+_METRICS_COLUMNS = list(
+    dict.fromkeys(f.name for row in (ReplicateRow, AggregateRow) for f in dataclasses.fields(row))
+)
 
 
 def _bounded(convert, ok, expected: str):
@@ -68,7 +56,8 @@ def _bounded(convert, ok, expected: str):
 
 
 _eta = _bounded(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
-_rate = _bounded(float, lambda v: v >= 0.0, "a number >= 0")
+_rate = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
+_finite = _bounded(float, math.isfinite, "a finite number")
 _workers = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
@@ -116,7 +105,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
                     help="reject with |T| > t_hat instead of >=")
     pa.add_argument("--adjust-in-stage1", action="store_true", default=None,
                     help="include adjustment covariates in stage-1 designs too")
-    pa.add_argument("--workers", type=_workers, help="parallel workers for stage-2 full fits")
+    pa.add_argument("--workers", type=_workers, help="parallel workers for blocks of stage-2 fits")
     pa.add_argument("--out", type=str, help="output JSON report path")
 
     ps = sub.add_parser("simulate", help="run the seeded replicate harness")
@@ -134,7 +123,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ps.add_argument("--misspecified", action="store_true", default=None,
                     help="attach misspecification terms to active pairs")
     ps.add_argument("--cov", choices=["identity", "ar1"], help="covariate covariance")
-    ps.add_argument("--beta0", type=float, help="intercept (default -1 gaussian, -2 logistic)")
+    ps.add_argument("--beta0", type=_finite, help="intercept (default -1 gaussian, -2 logistic)")
     ps.add_argument("--active-limit", type=int, help="candidate-set size for active mains")
     ps.add_argument("--workers", type=_workers, help="parallel workers over replicates")
     ps.add_argument("--out", type=str, help="output metrics CSV path")

@@ -12,6 +12,13 @@ statistics with ``|T| >= t`` and ``G`` is the two-sided normal tail.  With
 ``alpha1 = 0`` every variable passes stage 1 and the procedure reduces to
 the classical BH cutoff applied to all p(p-1)/2 pairs.
 
+``stage2_tests`` is the only code that fits stage-2 pairs, for ``analyze``
+and ``simulate`` alike.  It splits the pairs into blocks of at most
+``_BLOCK_ROWS`` design rows, and the worker pool maps runs of consecutive
+blocks, one run per worker.  Each block is one batched kernel call plus a
+full ``fit_glm`` fit for every pair the kernel hands back.  ``simulate``
+passes its per-pair responses through ``pair_response``.
+
 Boundary conventions:
 
 * Rejection uses ``|T| >= t_hat`` by default, matching the FDP definition;
@@ -221,81 +228,77 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     return ScreenResult(t_stats=t_stats, passing=passing, failed=failed)
 
 
-def _test_one_pair(x, y, family, adjust, pair):
-    j, k = pair
-    design = build_stage2_design(x[:, j], x[:, k], adjust)
-    return _fit_outcome(design, y, family, INTERACTION_INDEX)
+def _fit_pairs(data: Dataset, idx, grams, pair_response, step: int, pairs) -> tuple:
+    """``(t, status)`` for the pairs ``(idx[jj], idx[kk])``, in blocks of ``step``.
 
-
-def _batched_pair_stats(x, y, family: Family, adjust, j, k) -> np.ndarray:
-    """Interaction T of the pairs ``(j[i], k[i])`` from the batched kernel,
-    NaN where a pair needs a full fit; ``y`` is shared or one row per pair.
-    A block's design is one stage-2 design over its pairs' columns laid end
-    to end (``adjust`` repeated per pair), at most ``_BLOCK_ROWS`` rows."""
-    n = x.shape[0]
-    step = max(1, _BLOCK_ROWS // n)
-    t = np.empty(j.size)
-    for lo in range(0, j.size, step):
-        jb, kb = j[lo : lo + step], k[lo : lo + step]
-        adj = None if adjust is None else np.tile(adjust, (jb.size, 1))
-        design = build_stage2_design(x.T[jb].ravel(), x.T[kb].ravel(), adj).values
-        yb = y if y.ndim == 1 else y[lo : lo + step]
-        t[lo : lo + step] = _batched_wald(
-            design.reshape(jb.size, n, -1), yb, family, INTERACTION_INDEX
-        )
-    return t
-
-
-def _cell_pair_stats(data: Dataset, cols: np.ndarray, jj, kk) -> np.ndarray:
-    """Interaction T for the pairs (jj, kk) of the 0/1 columns ``cols``, each
-    fitted on 8 rows: the cells (x_j, x_k) = 00, 10, 01, 11 with y = 1 and
-    with y = 0, weighted by their counts.  Counts and response sums of the
-    (1, 1) cells come from Gram matrices (0/1 sums, exact in float64); the
-    other cells follow by subtraction.  NaN where the pair needs a full fit.
+    The batched kernel fits a block on one stage-2 design over the block's
+    columns laid end to end (``adjust`` repeated per pair).  When ``grams``
+    holds the Gram matrices of 0/1 columns, each pair is fitted on 8 rows
+    instead: the cells (x_j, x_k) = 00, 10, 01, 11 with y = 1 and with
+    y = 0, weighted by their counts.  Counts and response sums of the (1, 1)
+    cells come from the Gram matrices (0/1 sums, exact in float64); the
+    other cells follow by subtraction.  Each pair the kernel does not settle
+    gets a full fit on its own design.
     """
-    cells = build_stage2_design(np.array([0.0, 1.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0, 1.0]))
-    design, y = np.concatenate([cells.values, cells.values]), np.repeat([1.0, 0.0], 4)
-    gram, y_gram = cols.T @ cols, (cols * data.y[:, None]).T @ cols
-    stats = np.full(jj.size, np.nan)
-    step = _BLOCK_ROWS // design.shape[0]
-    for lo in range(0, jj.size, step):
-        j, k = jj[lo : lo + step], kk[lo : lo + step]
-        n11, na, nb = gram[j, k], gram[j, j], gram[k, k]
-        s11, sa, sb = y_gram[j, k], y_gram[j, j], y_gram[k, k]
-        counts = np.column_stack([data.n - na - nb + n11, na - n11, nb - n11, n11])
-        sums = np.column_stack([data.y.sum() - sa - sb + s11, sa - s11, sb - s11, s11])
-        weights = np.hstack([sums, counts - sums])
-        live = np.flatnonzero((weights > 0.0).all(axis=1))  # no empty or pure cell
-        stack = np.broadcast_to(design, (live.size, *design.shape))
-        stats[lo + live] = _batched_wald(stack, y, LOGISTIC, INTERACTION_INDEX, weights[live])
-    return stats
+    jj_all, kk_all = pairs
+    t, status = np.full(jj_all.size, np.nan), np.full(jj_all.size, "", dtype=object)
+    for lo in range(0, jj_all.size, step):
+        jj, kk = jj_all[lo : lo + step], kk_all[lo : lo + step]
+        j, k = idx[jj], idx[kk]
+        y = pair_response(j, k) if pair_response else np.broadcast_to(data.y, (j.size, data.n))
+        if grams is None:
+            adj = None if data.adjust is None else np.tile(data.adjust, (j.size, 1))
+            design = build_stage2_design(data.x.T[j].ravel(), data.x.T[k].ravel(), adj).values
+            fits, fit_y, weights = design.reshape(j.size, data.n, -1), y, None
+            live = np.arange(j.size)
+        else:
+            cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2))
+            design, fit_y = np.concatenate([cells.values, cells.values]), np.repeat([1.0, 0.0], 4)
+            gram, y_gram = grams
+            n11, na, nb = gram[jj, kk], gram[jj, jj], gram[kk, kk]
+            s11, sa, sb = y_gram[jj, kk], y_gram[jj, jj], y_gram[kk, kk]
+            counts = np.column_stack([data.n - na - nb + n11, na - n11, nb - n11, n11])
+            sums = np.column_stack([data.y.sum() - sa - sb + s11, sa - s11, sb - s11, s11])
+            weights = np.hstack([sums, counts - sums])
+            live = np.flatnonzero((weights > 0.0).all(axis=1))  # no empty or pure cell
+            fits, weights = np.broadcast_to(design, (live.size, *design.shape)), weights[live]
+        t[lo + live] = _batched_wald(fits, fit_y, data.family, INTERACTION_INDEX, weights)
+        for i in np.flatnonzero(np.isnan(t[lo : lo + step])).tolist():
+            design = build_stage2_design(data.x[:, j[i]], data.x[:, k[i]], data.adjust)
+            t[lo + i], status[lo + i] = _fit_outcome(design, y[i], data.family, INTERACTION_INDEX)
+    return t, status
 
 
-def stage2_tests(data: Dataset, screen: ScreenResult, workers: int = 1) -> PairTestResult:
+def stage2_tests(
+    data: Dataset, screen: ScreenResult, workers: int = 1, pair_response=None
+) -> PairTestResult:
     """Interaction Wald statistics for every pair of passing variables.
 
-    Pairs are enumerated lexicographically (j < k) and the result is
-    identical for any worker count; a failed fit leaves T = NaN and its
-    status code.  The batched kernel fits the pairs, logistic pairs of 0/1
-    columns without adjusters from their cell counts; the pairs it hands
-    back get a full fit each, in the worker pool.
+    Pairs are enumerated lexicographically (j < k) and fitted in blocks of
+    at most ``_BLOCK_ROWS`` design rows; the worker pool maps runs of whole
+    blocks, one run per worker, and the result is identical for any worker
+    count and block split.  A failed fit leaves T = NaN and its status code.
+    Logistic pairs of 0/1 columns without adjusters are fitted from their
+    cell counts, 8 rows a pair.  ``pair_response(j, k)``, if given, returns
+    one response row per pair of a block (B x n), used in place of
+    ``data.y``.
     """
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
-    cols = data.x[:, idx]
-    pair_j, pair_k = idx[jj], idx[kk]
-    if data.family is LOGISTIC and data.adjust is None and ((cols == 0.0) | (cols == 1.0)).all():
-        t = _cell_pair_stats(data, cols, jj, kk)
-    else:
-        t = _batched_pair_stats(data.x, data.y, data.family, data.adjust, pair_j, pair_k)
-    status = np.full(jj.size, "", dtype=object)
-    todo = np.flatnonzero(np.isnan(t))
-    items = list(zip(pair_j[todo].tolist(), pair_k[todo].tolist()))
-    shared = (data.x, data.y, data.family, data.adjust)
-    fitted = _map_items(_test_one_pair, shared, items, workers)
-    for i, (stat, code) in zip(todo.tolist(), fitted):
-        t[i], status[i] = stat, code
-    return PairTestResult(j=pair_j, k=pair_k, t=t, status=status)
+    grams = None
+    if pair_response is None and data.family is LOGISTIC and data.adjust is None:
+        cols = data.x[:, idx]
+        if ((cols == 0.0) | (cols == 1.0)).all():
+            grams = cols.T @ cols, (cols * data.y[:, None]).T @ cols
+    step = max(1, _BLOCK_ROWS // (data.n if grams is None else 8))
+    # One run of whole blocks per worker (one empty run if there are no pairs).
+    # Looping over its blocks, a worker frees a block's arrays only after it
+    # built the next block's, so malloc keeps the pages instead of freeing them.
+    run = step * max(1, math.ceil(jj.size / (step * workers)))
+    runs = [(jj[lo : lo + run], kk[lo : lo + run]) for lo in range(0, max(jj.size, 1), run)]
+    fitted = _map_items(_fit_pairs, (data, idx, grams, pair_response, step), runs, workers)
+    t, status = (np.concatenate(parts) for parts in zip(*fitted))
+    return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
 
 
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:

@@ -21,7 +21,9 @@ Randomness comes from Philox (counter-based, 64-bit) streams keyed by
 Replicate r of a run with base seed s uses seed s + r, and every pair
 response has its own substream, drawn a block of pairs at a time through one
 Philox re-keyed per pair; results do not depend on worker scheduling, on the
-block split or on the order in which pairs are evaluated.
+block split or on the order in which pairs are evaluated.  The pairs are
+fitted by ``pipeline.stage2_tests``, which asks ``gen_pair_response`` for
+the responses of one block at a time.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
 from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import _BLOCK_ROWS, Dataset, PairTestResult, _batched_pair_stats
-from .pipeline import _cutoff_and_reject, _map_items, _test_one_pair, alpha_from_rate
+from .pipeline import Dataset, _cutoff_and_reject, _map_items, alpha_from_rate, stage2_tests
 # the benchmark's trace hooks patch these names here
 from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
@@ -83,8 +84,10 @@ class SimConfig:
     def __post_init__(self):
         if self.n < 5 or self.p < 2:
             raise ValueError(f"need n >= 5 and p >= 2, got n={self.n}, p={self.p}")
-        if self.b < 0:
-            raise ValueError(f"b must be >= 0, got {self.b}")
+        if not (math.isfinite(self.b) and self.b >= 0):
+            raise ValueError(f"b must be a finite number >= 0, got {self.b}")
+        if self.beta0 is not None and not math.isfinite(self.beta0):
+            raise ValueError(f"beta0 must be finite, got {self.beta0}")
         if self.cov_kind not in ("identity", "ar1"):
             raise ValueError(f"cov_kind must be 'identity' or 'ar1', got {self.cov_kind!r}")
         if self.misspecified and self.p < 3:
@@ -227,22 +230,22 @@ def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j,
     return y if np.ndim(j) else y[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class ReplicateRow:
     """One (b, alpha1, replicate) outcome; the fields are the metrics-CSV
-    columns.  A failed replicate has None metrics and its ``error`` code;
-    ``power`` is None when H1 was empty."""
+    columns, in their order.  A failed replicate has None metrics and its
+    ``error`` code; ``power`` is None when H1 was empty."""
 
     alpha1: float
     b: float
     rep: int
-    seed: int
     fdp: float | None = None
     power: float | None = None
     omega: float | None = None
     p1: int | None = None
     t_hat: float | None = None
     rejections: int | None = None
+    seed: int
     error: str | None = None
 
 
@@ -274,8 +277,9 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     truth = gen_truth(cfg)
     design = gen_design(cfg)
     y_screen = gen_response(design, truth, cfg)
+    data = Dataset(x=design, y=y_screen, family=family)
     try:
-        screen = stage1_screen(Dataset(x=design, y=y_screen, family=family), 0.0)
+        screen = stage1_screen(data, 0.0)
     except PairscreenError as exc:
         return [
             ReplicateRow(alpha1=a1, b=cfg.b, rep=rep, seed=cfg.seed, error=exc.code)
@@ -287,18 +291,11 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     # smallest alpha1, are fitted once and masked for every alpha1.
     alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
     wide = np.flatnonzero(np.abs(screen.t_stats) >= min(alphas))
-    jj, kk = np.triu_indices(wide.size, 1)
-    pairs = PairTestResult(
-        j=wide[jj], k=wide[kk], t=np.full(jj.size, np.nan), status=np.full(jj.size, "", object)
+    pairs = stage2_tests(
+        data,
+        replace(screen, passing=tuple(wide.tolist())),
+        pair_response=lambda j, k: gen_pair_response(design, truth, cfg, j, k),
     )
-    step = max(1, _BLOCK_ROWS // cfg.n)  # pairs per block of batched fits
-    for lo in range(0, pairs.j.size, step):
-        j, k = pairs.j[lo : lo + step], pairs.k[lo : lo + step]
-        y = gen_pair_response(design, truth, cfg, j, k)
-        pairs.t[lo : lo + step] = _batched_pair_stats(design, y, family, None, j, k)
-        for i in np.flatnonzero(np.isnan(pairs.t[lo : lo + step])).tolist():
-            fitted = _test_one_pair(design, y[i], family, None, (j[i], k[i]))
-            pairs.t[lo + i], pairs.status[lo + i] = fitted
     rows: list[ReplicateRow] = []
     for alpha1, alpha in zip(alpha1_list, alphas):
         p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)

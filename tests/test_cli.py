@@ -441,7 +441,7 @@ class TestAnalyzeCommand:
             assert code == 0
             return [(out_dir / name).read_bytes() for name in ("r.json", "r.rejected.csv")]
 
-        # pairs (0, 4) and (2, 3) need full fits, which the two workers share
+        # the kernel hands pairs (0, 4) and (2, 3) back to full fits
         one, two = run(1), run(2)
         assert one == two
         doc = json.loads(one[0])
@@ -455,7 +455,7 @@ class TestAnalyzeCommand:
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
         x_path, y_path, x, _ = make_analysis_files(tmp_path)
-        x[:, 1] = x[:, 2] = x[:, 0]  # pairs (0, 1), (0, 2), (1, 2) need full fits
+        x[:, 1] = x[:, 2] = x[:, 0]  # pairs (0, 1), (0, 2), (1, 2) are handed back
         write_csv_matrix(x_path, x, tuple(f"v{i}" for i in range(x.shape[1])))
 
         class InProcessContext:
@@ -479,20 +479,22 @@ class TestAnalyzeCommand:
 
         def run(workers):
             out_dir = tmp_path / f"w{workers}"
-            out_dir.mkdir()
+            out_dir.mkdir(exist_ok=True)
             argv = ["analyze", "--x", str(x_path), "--y", str(y_path), "--family", "gaussian",
                     "--alpha1", "0", "--eta", "0.1", "--workers", str(workers),
                     "--out", str(out_dir / "r.json")]
             assert main(argv) == 0
             return [(out_dir / name).read_bytes() for name in ("r.json", "r.rejected.csv")]
 
-        one = run(1)
+        one = run(1)  # one block of all 10 pairs
         context = InProcessContext()
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", 2 * x.shape[0])  # 5 blocks
         monkeypatch.setattr(pairscreen.pipeline, "_WORKER_TASK", ())
         monkeypatch.setattr(pairscreen.pipeline.multiprocessing, "get_context", lambda _: context)
-        assert run(64) == one
-        assert context.processes == [2]  # 3 full fits, 64 workers asked, 2 CPUs
+        for cpus, workers in ((2, 64), (8, 64), (8, 3)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert run(workers) == one
+        assert context.processes == [2, 5, 3]  # min(workers, blocks, CPUs) here
 
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -602,6 +604,7 @@ class TestAnalyzeCommand:
             {"eta": 1.5},
             {"alpha1": -0.1},
             {"workers": 0},
+            {"alpha1": "inf"},
         ],
     )
     def test_bad_config_value_fails_before_loading(self, tmp_path, capsys, bad):
@@ -615,6 +618,7 @@ class TestAnalyzeCommand:
             (["--workers", "-2"], "'-2'"),
             (["--family", "poisson"], "'poisson'"),
             (["--no-such-flag"], "--no-such-flag"),
+            (["--alpha1", "inf"], "'inf'"),
         ],
     )
     def test_bad_flag_fails_before_loading(self, tmp_path, capsys, bad, shown):
@@ -719,7 +723,16 @@ class TestSimulateCommand:
         assert len(means) == 2
 
     @pytest.mark.parametrize(
-        "bad", [{"b": [0.4, -1]}, {"b": "0.4,-1"}, {"alpha1": "0,-0.1"}, {"alpha1": [0, 0]}]
+        "bad",
+        [
+            {"b": [0.4, -1]},
+            {"b": "0.4,-1"},
+            {"alpha1": "0,-0.1"},
+            {"alpha1": [0, 0]},
+            {"b": "0.4,inf"},
+            {"alpha1": "0,nan"},
+            {"beta0": "nan"},
+        ],
     )
     def test_bad_config_value_fails_before_running(self, tmp_path, capsys, monkeypatch, bad):
         monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)
@@ -733,6 +746,10 @@ class TestSimulateCommand:
             (["--alpha1", "0,-0.1"], "'-0.1'"),
             (["--alpha1", "0.1,0.1"], "'0.1,0.1'"),  # a repeated value would merge its cells
             (["--b", "0.4,0.40"], "'0.4,0.40'"),
+            (["--b", "inf"], "'inf'"),
+            (["--alpha1", "0,inf"], "'inf'"),
+            (["--beta0", "nan"], "'nan'"),
+            (["--beta0=-inf"], "'-inf'"),
         ],
     )
     def test_bad_flag_fails_before_running(self, tmp_path, capsys, monkeypatch, bad, shown):

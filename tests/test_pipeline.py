@@ -207,13 +207,29 @@ class TestStage2:
         skipped_keys = {(j, k): reason for j, k, reason in fitted_and_skipped(result)[1]}
         assert skipped_keys.get((0, 1)) == "SINGULAR_DESIGN"
 
-    def test_worker_count_does_not_change_results(self):
+    def test_worker_count_does_not_change_results(self, monkeypatch):
+        # blocks of 1-3 pairs on the row and the cell path, each with a pair
+        # that the kernel hands back to a full fit
         rng = np.random.default_rng(7)
-        data = make_dataset(rng, n=60, p=7)
-        screen = stage1_screen(data, 0.0)
-        seq = stage2_tests(data, screen, workers=1)
-        par = stage2_tests(data, screen, workers=3)
-        assert_same_pairs(seq, par)
+        x = make_dataset(rng, n=60, p=7).x
+        x[:, 5] = x[:, 2]
+        rows = Dataset(x=x, y=rng.standard_normal(60), family=GAUSSIAN)
+        g = (rng.random((60, 6)) < 0.5).astype(float)
+        y = (rng.random(60) < 0.4).astype(float)
+        y[(g[:, 1] == 1.0) & (g[:, 3] == 1.0)] = 1.0
+        assert TestCellCounts.pairs_with_a_pure_cell(g, y) == [(1, 3)]
+        cells = Dataset(x=g, y=y, family=LOGISTIC)
+        for data, rows_per_pair in ((rows, rows.n), (cells, 8)):
+            screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+            whole = stage2_tests(data, screen)
+            if data is rows:
+                assert (2, 5, "SINGULAR_DESIGN") in fitted_and_skipped(whole)[1]
+            for pairs_per_block in (1, 2, 3):
+                block_rows = rows_per_pair * pairs_per_block
+                monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", block_rows)
+                for workers in (1, 2):
+                    assert_same_pairs(stage2_tests(data, screen, workers=workers), whole)
+            monkeypatch.undo()
 
 
 def hand_back(monkeypatch, flagged):
@@ -456,17 +472,24 @@ class TestBatchedFits:
     @settings(max_examples=100, deadline=None)
     @given(case=continuous_pair_data(), seed=st.integers(0, 2**32 - 1))
     def test_one_response_per_pair(self, case, seed):
-        # simulate's path: each pair brings its own response
+        # simulate's path: stage2_tests asks for one response row per pair
         x, _, family, _ = case
-        jj, kk = np.triu_indices(x.shape[1], 1)
+        p = x.shape[1]
+        jj, kk = np.triu_indices(p, 1)
         rng = np.random.default_rng(seed)
         if family is GAUSSIAN:
             ys = rng.standard_normal((jj.size, x.shape[0])) + x[:, jj].T * x[:, kk].T
         else:
             ys = (rng.random((jj.size, x.shape[0])) < 0.3).astype(float)
-        stats = pairscreen.pipeline._batched_pair_stats(x, ys, family, None, jj, kk)
-        for got, (want, code) in zip(stats.tolist(), self.full_fits(x, ys, family, None, jj, kk)):
-            assert math.isnan(got) or close_or_failed(got, want, code)
+        row_of = np.zeros((p, p), dtype=int)
+        row_of[jj, kk] = np.arange(jj.size)
+        data = Dataset(x=x, y=ys[0], family=family)
+        screen = ScreenResult(t_stats=np.zeros(p), passing=tuple(range(p)))
+        result = stage2_tests(data, screen, pair_response=lambda j, k: ys[row_of[j, k]])
+        expected = self.full_fits(x, ys, family, None, jj, kk)
+        assert result.status.tolist() == [code for _, code in expected]
+        for got, (want, code) in zip(result.t.tolist(), expected):
+            assert close_or_failed(got, want, code)
 
     @staticmethod
     def pair_fits(monkeypatch, data):

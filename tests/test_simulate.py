@@ -11,11 +11,11 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import pairscreen.pipeline
-import pairscreen.simulate
 from pairscreen import (
     GAUSSIAN,
     SimConfig,
     aggregate_rows,
+    build_stage2_design,
     fdr_cutoff,
     gen_design,
     gen_pair_response,
@@ -288,7 +288,7 @@ class TestRunReplicates:
     def test_rows_do_not_depend_on_block_split(self, monkeypatch, pairs_per_block):
         cfg = base_config(n=60, p=12, b=0.6, seed=11, misspecified=True)
         whole = run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3)
-        monkeypatch.setattr(pairscreen.simulate, "_BLOCK_ROWS", cfg.n * pairs_per_block)
+        monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", cfg.n * pairs_per_block)
         assert run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3, workers=1) == whole
         assert run_replicates(cfg, [0.0, 0.3], eta=0.2, reps=3, workers=2) == whole
 
@@ -307,7 +307,8 @@ class TestRunReplicates:
         for j in range(cfg.p):
             for k in range(j + 1, cfg.p):
                 y = gen_pair_response(x, truth, cfg, j, k)
-                t[(j, k)] = pairscreen.pipeline._test_one_pair(x, y, GAUSSIAN, None, (j, k))[0]
+                design = build_stage2_design(x[:, j], x[:, k])
+                t[(j, k)] = pairscreen.pipeline._fit_outcome(design, y, GAUSSIAN, 3)[0]
         j, k = max(t, key=lambda pair: abs(t[pair]))
         (plain,) = run_replicates(cfg, [0.0], eta=0.1, reps=1)
         assert plain.p1 == cfg.p
@@ -359,6 +360,9 @@ class TestConfigValidation:
             base_config(family="poisson")
         with pytest.raises(ValueError):
             base_config(active_limit=-3)
+        for bad in ({"b": math.inf}, {"b": math.nan}, {"beta0": math.nan}, {"beta0": -math.inf}):
+            with pytest.raises(ValueError):
+                base_config(**bad)
 
     def test_default_intercepts(self):
         assert base_config(family="gaussian").intercept == -1.0
