@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -30,14 +29,11 @@ from .errors import InvalidConfig, PairscreenError
 from .glm import family_from_name
 from .pipeline import Dataset, run_two_stage
 from .report import write_report
-from .simulate import AggregateRow, ReplicateRow, SimConfig, aggregate_rows, run_replicates
+from .simulate import MetricsRow, SimConfig, aggregate_rows, run_replicates
 
 __all__ = ["main"]
 
-# the fields of ReplicateRow, then those only AggregateRow has
-_METRICS_COLUMNS = list(
-    dict.fromkeys(f.name for row in (ReplicateRow, AggregateRow) for f in dataclasses.fields(row))
-)
+_METRICS_COLUMNS = [f.name for f in dataclasses.fields(MetricsRow)]
 
 
 def _bounded(convert, ok, expected: str):
@@ -46,7 +42,7 @@ def _bounded(convert, ok, expected: str):
     def parse(text):
         try:
             value = convert(text)
-            if ok(value):
+            if ok(value) and not isinstance(text, bool):  # a JSON true is not 1
                 return value
         except (TypeError, ValueError):
             pass
@@ -61,14 +57,11 @@ _finite = _bounded(float, math.isfinite, "a finite number")
 _workers = _bounded(int, lambda v: v >= 1, "an integer >= 1")
 
 
-def _float_list(text, number=float) -> list[float]:
-    """Comma-separated distinct numbers, each read by ``number``; a config
+def _float_list(text) -> list[float]:
+    """Comma-separated distinct numbers, each read by ``_rate``; a config
     file may give a JSON list instead."""
     tokens = text if isinstance(text, list) else str(text).split(",")
-    try:
-        values = [number(tok) for tok in tokens if tok != ""]
-    except (TypeError, ValueError):
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}")
+    values = [_rate(tok) for tok in tokens if tok != ""]
     if not values:
         raise argparse.ArgumentTypeError("expected at least one number")
     if len(set(values)) < len(values):
@@ -113,9 +106,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     ps.add_argument("--family", choices=["gaussian", "logistic"], help="generating family")
     ps.add_argument("--n", type=int, help="sample size")
     ps.add_argument("--p", type=int, help="number of variables")
-    ps.add_argument("--b", type=functools.partial(_float_list, number=_rate),
-                    help="signal sizes, comma separated")
-    ps.add_argument("--alpha1", type=functools.partial(_float_list, number=_rate),
+    ps.add_argument("--b", type=_float_list, help="signal sizes, comma separated")
+    ps.add_argument("--alpha1", type=_float_list,
                     help="stage-1 rates, comma separated (0 = BH baseline)")
     ps.add_argument("--eta", type=_eta, help="target FDR level in (0, 1)")
     ps.add_argument("--reps", type=int, help="replicates per (alpha1, b) cell")
@@ -229,7 +221,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         rows += b_rows
         aggregates += aggregate_rows(b_rows)
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        writer = csv.DictWriter(fh, _METRICS_COLUMNS, restval="", lineterminator="\n")
+        writer = csv.DictWriter(fh, _METRICS_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in rows + aggregates:
             writer.writerow({name: _cell(value) for name, value in dataclasses.asdict(row).items()})
@@ -246,6 +238,9 @@ def main(argv=None) -> int:
         return _cmd_simulate(args)
     except FileNotFoundError as exc:
         print(f"error FILE_NOT_FOUND: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # a directory, a permission error, a full disk
+        print(f"error IO_ERROR: {exc}", file=sys.stderr)
         return 1
     except PairscreenError as exc:
         print(f"error {exc.code}: {exc}", file=sys.stderr)

@@ -1,12 +1,14 @@
 """CSV ingestion and serialization.
 
-Input matrices are UTF-8 comma-separated files with one header row and
-purely numeric cells; missing values are a hard error (no imputation).
+Input matrices are UTF-8 comma-separated files, with or without a
+byte-order mark, with one header row and purely numeric cells; missing
+values and text that is not UTF-8 are a hard error (no imputation).
 Floats are written with ``repr``, which is exact under round-trip.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import warnings
 from pathlib import Path
@@ -28,19 +30,32 @@ def format_number(value) -> str:
     return repr(f)
 
 
+@contextlib.contextmanager
+def _open_text(path: Path):
+    """The file as text for ``csv.reader``: UTF-8, a leading byte-order mark
+    dropped; a byte that is not UTF-8 raises ParseError."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason}: {byte:#04x})") from None
+
+
 def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
     """Read an n x p numeric matrix with its header labels.
 
     Raises FileNotFoundError, EmptyInput for a file without data rows, and
     ParseError (with 1-based line/column) for ragged rows or non-numeric
-    cells.  The data rows are parsed by ``np.loadtxt``; whatever it rejects
-    or reads differently (wrong width, no rows, a non-finite value) is read
-    again cell by cell, which gives the error with its line and column and
-    accepts the few cells ``float`` takes and ``loadtxt`` does not (quoted
-    numbers, digit separators).
+    cells, or (without them) for text that is not UTF-8.  The data rows are
+    parsed by ``np.loadtxt``; whatever it rejects or reads differently
+    (wrong width, no rows, a non-finite value) is read again cell by cell,
+    which gives the error with its line and column and accepts the few
+    cells ``float`` takes and ``loadtxt`` does not (quoted numbers, digit
+    separators).
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         header = next((row for row in csv.reader(fh) if row), None)
         data = None
         if header is not None:
@@ -59,7 +74,7 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
 def _load_cell_by_cell(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
     """``load_csv_matrix`` with one ``float`` call per cell."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]  # blank lines skipped
     if not rows:

@@ -21,9 +21,12 @@ Randomness comes from Philox (counter-based, 64-bit) streams keyed by
 Replicate r of a run with base seed s uses seed s + r, and every pair
 response has its own substream, drawn a block of pairs at a time through one
 Philox re-keyed per pair; results do not depend on worker scheduling, on the
-block split or on the order in which pairs are evaluated.  The pairs are
-fitted by ``pipeline.stage2_tests``, which asks ``gen_pair_response`` for
-the responses of one block at a time.
+block split or on the order in which pairs are evaluated.  Each replicate
+screens once, at the smallest alpha1, and its passing pairs are fitted by
+``pipeline.stage2_tests``, which asks ``gen_pair_response`` for the
+responses of one block at a time; every alpha1 then masks those fits.
+Replicate outcomes and per-cell means are ``MetricsRow``s, one per line of
+the metrics CSV.
 """
 
 from __future__ import annotations
@@ -44,8 +47,7 @@ from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
 __all__ = [
     "SimConfig",
     "SimTruth",
-    "ReplicateRow",
-    "AggregateRow",
+    "MetricsRow",
     "gen_design",
     "gen_truth",
     "gen_response",
@@ -231,78 +233,65 @@ def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j,
 
 
 @dataclass(frozen=True, kw_only=True)
-class ReplicateRow:
-    """One (b, alpha1, replicate) outcome; the fields are the metrics-CSV
-    columns, in their order.  A failed replicate has None metrics and its
-    ``error`` code; ``power`` is None when H1 was empty."""
+class MetricsRow:
+    """One line of the metrics CSV; the fields are its columns, in their order.
+
+    A replicate row has ``rep = r`` and that replicate's seed; a failed
+    replicate has None metrics and its ``error`` code, and ``power`` is None
+    when H1 was empty.  A mean row has ``rep = "mean"`` and the base seed, and
+    holds the means and Monte-Carlo SEs over the successful replicates of one
+    (b, alpha1) cell; its metrics are None when every replicate failed.  The
+    SE and count fields are None on replicate rows.
+    """
 
     alpha1: float
     b: float
-    rep: int
+    rep: int | str
     fdp: float | None = None
     power: float | None = None
     omega: float | None = None
-    p1: int | None = None
+    p1: float | None = None
     t_hat: float | None = None
-    rejections: int | None = None
+    rejections: float | None = None
     seed: int
     error: str | None = None
+    fdp_se: float | None = None
+    power_se: float | None = None
+    power_reps: int | None = None
+    failed_reps: int | None = None
 
 
-@dataclass(frozen=True)
-class AggregateRow:
-    """Means and Monte-Carlo SEs over the successful replicates of one
-    (b, alpha1) cell; the fields are the metrics-CSV columns, ``seed`` is
-    the base seed.  The metrics are None when every replicate failed."""
-
-    alpha1: float
-    b: float
-    seed: int
-    fdp: float | None
-    fdp_se: float | None
-    power: float | None
-    power_se: float | None
-    power_reps: int
-    omega: float | None
-    p1: float | None
-    t_hat: float | None
-    rejections: float | None
-    failed_reps: int
-    rep: str = "mean"
-
-
-def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> list[ReplicateRow]:
+def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> list[MetricsRow]:
     cfg = replace(config, seed=config.seed + rep)
     family = family_from_name(cfg.family)
     truth = gen_truth(cfg)
     design = gen_design(cfg)
     y_screen = gen_response(design, truth, cfg)
     data = Dataset(x=design, y=y_screen, family=family)
+    # Pair statistics do not depend on alpha1 (each pair response has its
+    # own substream), so one screen at the smallest alpha passes the widest
+    # set, whose pairs are fitted once and masked for every alpha1.
+    alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
     try:
-        screen = stage1_screen(data, 0.0)
+        screen = stage1_screen(data, min(alphas))
     except PairscreenError as exc:
         return [
-            ReplicateRow(alpha1=a1, b=cfg.b, rep=rep, seed=cfg.seed, error=exc.code)
+            MetricsRow(alpha1=a1, b=cfg.b, rep=rep, seed=cfg.seed, error=exc.code)
             for a1 in alpha1_list
         ]
 
-    # Pair statistics do not depend on alpha1 (each pair response has its
-    # own substream), so the pairs of the widest passing set, the one at the
-    # smallest alpha1, are fitted once and masked for every alpha1.
-    alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
-    wide = np.flatnonzero(np.abs(screen.t_stats) >= min(alphas))
     pairs = stage2_tests(
         data,
-        replace(screen, passing=tuple(wide.tolist())),
+        screen,
         pair_response=lambda j, k: gen_pair_response(design, truth, cfg, j, k),
     )
-    rows: list[ReplicateRow] = []
+    rows: list[MetricsRow] = []
     for alpha1, alpha in zip(alpha1_list, alphas):
         p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)
         rejected = np.zeros_like(truth.h1)
         rejected[pairs.j[hit], pairs.k[hit]] = True
         rows.append(
-            ReplicateRow(
+            MetricsRow(
                 alpha1=alpha1,
                 b=cfg.b,
                 rep=rep,
@@ -324,7 +313,7 @@ def run_replicates(
     eta: float,
     reps: int,
     workers: int = 1,
-) -> list[ReplicateRow]:
+) -> list[MetricsRow]:
     """Run ``reps`` seeded replicates, analyzing each at every alpha1.
 
     Replicate r uses seed config.seed + r, so output is identical for any
@@ -344,7 +333,7 @@ def _mean_se(values) -> tuple[float | None, float | None]:
     return mean_and_se(values) if values else (None, None)
 
 
-def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
+def aggregate_rows(rows: list[MetricsRow]) -> list[MetricsRow]:
     """Summarize per-(b, alpha1) means and Monte-Carlo SEs, in order of
     first appearance.
 
@@ -352,7 +341,7 @@ def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
     with empty H1 contribute to everything except the power mean.  A cell
     whose replicates all failed gets a row of None metrics.
     """
-    cells: dict[tuple[float, float], list[ReplicateRow]] = {}
+    cells: dict[tuple[float, float], list[MetricsRow]] = {}
     for row in rows:
         cells.setdefault((row.b, row.alpha1), []).append(row)
 
@@ -363,9 +352,10 @@ def aggregate_rows(rows: list[ReplicateRow]) -> list[AggregateRow]:
         powers = [r.power for r in good if r.power is not None]
         power, power_se = _mean_se(powers)
         out.append(
-            AggregateRow(
+            MetricsRow(
                 alpha1=alpha1,
                 b=b,
+                rep="mean",
                 seed=cell[0].seed - cell[0].rep,  # replicate r runs at seed + r
                 fdp=fdp,
                 fdp_se=fdp_se,

@@ -99,13 +99,16 @@ class TestLoadCsv:
             pytest.param("a,b\n1,2,\n", (ParseError, 2, None), id="trailing-comma"),
             pytest.param("a,b\n1,2,3\n", (ParseError, 2, None), id="extra-cell"),
             pytest.param("a,b\n\n", (EmptyInput, None, None), id="header-only"),
+            pytest.param("\ufeffa,b\n1,2\n", [[1.0, 2.0]], id="byte-order-mark"),
+            pytest.param(b"caf\xe9,b\n1,2\n", (ParseError, None, None), id="latin-1-label"),
+            pytest.param(b"a,b\n1,\xe9\n", (ParseError, None, None), id="latin-1-cell"),
         ],
     )
     def test_same_result_as_cell_by_cell_reading(self, tmp_path, text, expected):
         # expected: what one float() call per cell gives, the matrix or the
-        # error with its line and column
+        # error with its line and column; text may be given as raw bytes
         f = tmp_path / "m.csv"
-        f.write_bytes(text.encode())
+        f.write_bytes(text if isinstance(text, bytes) else text.encode())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if isinstance(expected, list):
@@ -118,6 +121,7 @@ class TestLoadCsv:
                 load_csv_matrix(f)
         if error is ParseError:
             assert (err.value.line, err.value.col) == (line, col)
+            assert str(err.value).startswith(f"{f}: ")
 
     def test_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -252,6 +256,22 @@ def check_bad_flag(tmp_path, capsys, command, bad, shown):
     assert captured.err.startswith("error INVALID_CONFIG: ")
     assert shown in captured.err and "usage:" not in captured.err + captured.out
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_out_directory_is_an_io_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    if command == "analyze":
+        x_path, y_path, _, _ = make_analysis_files(tmp_path)
+        argv = ["analyze", "--x", str(x_path), "--y", str(y_path), "--family", "gaussian",
+                "--alpha1", "0.1", "--eta", "0.1"]
+    else:
+        argv = ["simulate", "--family", "gaussian", "--n", "30", "--p", "4", "--b", "0.5",
+                "--alpha1", "0", "--eta", "0.1", "--reps", "1", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error IO_ERROR: ") and str(out) in err
 
 
 class TestAnalyzeCommand:
@@ -732,6 +752,8 @@ class TestSimulateCommand:
             {"b": "0.4,inf"},
             {"alpha1": "0,nan"},
             {"beta0": "nan"},
+            {"b": [True, 0.5]},
+            {"alpha1": [False]},
         ],
     )
     def test_bad_config_value_fails_before_running(self, tmp_path, capsys, monkeypatch, bad):
