@@ -8,10 +8,11 @@ Two subcommands:
   metrics CSV (per-replicate rows followed by aggregate mean/SE rows).
 
 Every option can also be supplied through ``--config FILE`` (a flat JSON
-object keyed by the long option names with dashes as underscores);
-explicit command-line flags override config-file values.  Exit status is 0
-exactly when the requested outputs were fully written; failures print
-``error CODE: message`` on stderr.
+object in UTF-8, with or without a byte-order mark, keyed by the long
+option names with dashes as underscores); explicit command-line flags
+override config-file values.  The output paths are checked before any
+input is read.  Exit status is 0 exactly when the requested outputs were
+fully written; failures print ``error CODE: message`` on stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .csvio import dominant_encode, format_number, load_csv_matrix
 from .errors import InvalidConfig, PairscreenError
 from .glm import family_from_name
 from .pipeline import Dataset, run_two_stage
-from .report import write_report
+from .report import rejected_csv_path, write_report
 from .simulate import MetricsRow, SimConfig, aggregate_rows, run_replicates
 
 __all__ = ["main"]
@@ -134,7 +135,7 @@ def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser):
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             values = json.load(fh)
     except json.JSONDecodeError as exc:
         raise InvalidConfig(f"config file {path}: {exc}") from None
@@ -166,8 +167,20 @@ def _require(args: argparse.Namespace, names: list[str]) -> None:
         raise InvalidConfig(f"missing required options: {opts}")
 
 
+def _check_out(*paths) -> None:
+    """Fail with an OSError (IO_ERROR) before any work when an output path
+    is an existing directory or its parent directory is missing; nothing is
+    opened, so a run that fails later leaves no partial output."""
+    for path in map(Path, paths):
+        if path.is_dir():
+            raise IsADirectoryError(f"output path is a directory: {path}")
+        if not path.absolute().parent.is_dir():
+            raise OSError(f"output directory does not exist: {path.absolute().parent} (for {path})")
+
+
 def _cmd_analyze(args: argparse.Namespace) -> int:
     _require(args, ["x", "y", "family", "alpha1", "eta", "out"])
+    _check_out(args.out, rejected_csv_path(args.out))
     x, labels = load_csv_matrix(args.x)
     y, _ = load_csv_matrix(args.y)
     if y.shape[1] != 1:
@@ -204,6 +217,7 @@ def _cell(value) -> str:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     _require(args, ["family", "n", "p", "b", "alpha1", "eta", "reps", "seed", "out"])
+    _check_out(args.out)
     rows, aggregates = [], []
     for b in args.b:
         config = SimConfig(

@@ -10,7 +10,10 @@ gaussian with identity link and Bernoulli with logit link.  The gaussian
 dispersion never needs to be estimated because the B matrix uses raw
 squared residuals, so it cancels from every Wald statistic.
 
-``fit_glm`` fits one model and owns every failure rule; the private
+``fit_glm`` fits one model and owns every failure rule.  Optional row
+weights (counts) fit a grouped design: a logistic model on 0/1 columns is
+saturated over its cells, so the fit on the cells weighted by their counts
+is the fit on the rows (the grouped-binomial likelihood).  The private
 ``_batched_wald`` fits a block of models on stacked arrays, replaying those
 rules, and hands back to ``fit_glm`` each fit it cannot settle.
 """
@@ -125,7 +128,7 @@ class GlmFit:
     converged: bool
     iterations: int
     grad_norm: float
-    n: int
+    n: float  # the row count, or the weight sum of a weighted fit
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -186,16 +189,23 @@ def _chol_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
 
 
-def _working_loglik(family: Family, theta: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(y * theta - family.cumulant(theta)))
+def _working_loglik(family: Family, theta: np.ndarray, y: np.ndarray, w, n) -> float:
+    if w is None:
+        return float(np.mean(y * theta - family.cumulant(theta)))
+    return float(w @ (y * theta - family.cumulant(theta)) / n)
 
 
-def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
+def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     """Maximize the working log-likelihood sum(y*theta - b(theta)) over beta.
 
     Gaussian-identity fits are the closed-form normal-equations solution;
     logistic fits use Newton-Raphson with step-halving from beta = 0.  The
     returned fit carries the sandwich covariance.
+
+    ``weights``, if given, are positive row counts: the fit is the fit on
+    the rows repeated by count.  Every mean, score, Hessian and sandwich sum
+    is weighted, n is the weight sum, and the rank test runs on the
+    sqrt(weight)-scaled rows.
 
     Raises SingularDesign for rank-deficient designs and Separation when a
     logistic iterate leaves the |beta| <= 30 box or the converged fit
@@ -205,31 +215,39 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
     """
     X = design.values
     yv = _as_vector(y, "y")
-    n, d = X.shape
-    if yv.size != n:
-        raise ValueError(f"response length {yv.size} does not match n={n}")
+    rows, d = X.shape
+    if yv.size != rows:
+        raise ValueError(f"response length {yv.size} does not match n={rows}")
+    # xt holds the weighted transposed rows, so X.T itself serves unweighted fits
+    if weights is None:
+        wv, n, xt = None, rows, X.T
+    else:
+        wv = _as_vector(weights, "weights")
+        if wv.size != rows or not (wv > 0.0).all():
+            raise ValueError(f"weights must be {rows} positive counts")
+        n, xt = float(wv.sum()), X.T * wv
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
     family.validate_response(yv)
-    _check_rank(X)
+    _check_rank(X if wv is None else X * np.sqrt(wv)[:, None])
 
     if family is GAUSSIAN:
-        beta = _chol_solve(X.T @ X, X.T @ yv)
+        beta = _chol_solve(xt @ X, xt @ yv)
         mu = X @ beta
         resid = yv - mu
-        score = X.T @ resid / n
+        score = xt @ resid / n
         fit_iters, converged = 0, True
     else:
         beta = np.zeros(d)
         theta = X @ beta
-        ll = _working_loglik(family, theta, yv)
+        ll = _working_loglik(family, theta, yv, wv, n)
         mu = family.mean(theta)
         resid = yv - mu
-        score = X.T @ resid / n
+        score = xt @ resid / n
         fit_iters = 0
         while np.max(np.abs(score)) > _SCORE_TARGET and fit_iters < _MAX_ITER:
             w = family.variance_from_mean(mu)
-            hess = (X.T * w) @ X / n
+            hess = (xt * w) @ X / n
             step = _chol_solve(hess, score)
             # Halve until the working log-likelihood does not decrease
             # (allowing float-noise-level wiggle so steps near the optimum,
@@ -240,7 +258,7 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
             for halving in range(_MAX_HALVINGS + 1):
                 cand = beta + scale * step
                 theta = X @ cand
-                cand_ll = _working_loglik(family, theta, yv)
+                cand_ll = _working_loglik(family, theta, yv, wv, n)
                 if cand_ll >= ll - noise or halving == _MAX_HALVINGS:
                     break
                 scale *= 0.5
@@ -252,13 +270,13 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
                 )
             mu = family.mean(theta)
             resid = yv - mu
-            score = X.T @ resid / n
+            score = xt @ resid / n
             fit_iters += 1
         converged = bool(np.max(np.abs(score)) <= _SCORE_CONTRACT)
         if converged and np.max(np.abs(resid)) < 1e-6:
             raise Separation("fit classifies every observation to within 1e-6")
 
-    cov, model_cov = _sandwich_and_model_cov(X, resid, family.variance_from_mean(mu))
+    cov, model_cov = _sandwich_and_model_cov(X, xt, n, resid, family.variance_from_mean(mu))
     return GlmFit(
         beta_hat=beta,
         sandwich_cov=cov,
@@ -270,12 +288,12 @@ def fit_glm(design: DesignMatrix, y, family: Family) -> GlmFit:
     )
 
 
-def _sandwich_and_model_cov(X, resid, w):
+def _sandwich_and_model_cov(X, xt, n, resid, w):
     """A^-1 B A^-1 and A^-1, with A = mean(w x x^T) for the variance weights
-    ``w = b''(theta)`` and B = mean(resid^2 x x^T)."""
-    n = X.shape[0]
-    a_mat = (X.T * w) @ X / n
-    b_mat = (X.T * resid**2) @ X / n
+    ``w = b''(theta)`` and B = mean(resid^2 x x^T); ``xt`` is X.T with each
+    row scaled by its count, and ``n`` the count sum."""
+    a_mat = (xt * w) @ X / n
+    b_mat = (xt * resid**2) @ X / n
     try:
         chol = np.linalg.cholesky(a_mat)
     except np.linalg.LinAlgError:

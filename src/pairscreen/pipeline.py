@@ -168,11 +168,12 @@ def alpha_from_rate(alpha1: float, p: int) -> float:
     return math.sqrt(alpha1 * math.log(p))
 
 
-def _fit_outcome(design, y, family: Family, coef_index: int) -> tuple[float, str]:
-    """Fit the working GLM and return ``(T, "")`` for coefficient
-    ``coef_index``, or ``(nan, code)`` when the fit failed or did not converge."""
+def _fit_outcome(design, y, family: Family, coef_index: int, weights=None) -> tuple[float, str]:
+    """Fit the working GLM, with optional row ``weights`` (counts), and return
+    ``(T, "")`` for coefficient ``coef_index``, or ``(nan, code)`` when the
+    fit failed or did not converge."""
     try:
-        fit = fit_glm(design, y, family)
+        fit = fit_glm(design, y, family, weights)
         if not fit.converged:
             return math.nan, "NOT_CONVERGED"
         return wald_statistic(fit, coef_index), ""
@@ -208,6 +209,10 @@ def _map_items(func, shared: tuple, items, workers: int) -> list:
 def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -> ScreenResult:
     """Fit the marginal model per column; pass indices with |T_j| >= alpha.
 
+    Logistic 0/1 columns without stage-1 adjusters are fitted on 4 rows:
+    the cells x = 0, 1 with y = 1 and with y = 0, weighted by their counts
+    (0/1 sums from ``x.sum(0)``, ``y @ x`` and ``y.sum()``, exact in
+    float64).  A column with an empty or pure cell is fitted on its rows.
     Failed fits are recorded with a status code and never pass.  Raises
     AllFitsFailed when no column could be fitted.
     """
@@ -217,9 +222,20 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     adjust = data.adjust if adjust_in_stage1 else None
     t_stats = np.full(p, np.nan)
     failed: dict[int, str] = {}
+    live = np.zeros(p, dtype=bool)
+    if data.family is LOGISTIC and adjust is None and ((data.x == 0.0) | (data.x == 1.0)).all():
+        cells, y_cells = build_stage1_design(np.tile([0.0, 1.0], 2)), np.repeat([1.0, 0.0], 2)
+        n1, s1 = data.x.sum(axis=0), data.y @ data.x
+        counts = np.column_stack([data.n - n1, n1])
+        sums = np.column_stack([data.y.sum() - s1, s1])
+        weights = np.hstack([sums, counts - sums])
+        live = (weights > 0.0).all(axis=1)  # no empty or pure cell
     for j in range(p):
-        design = build_stage1_design(data.x[:, j], adjust)
-        t_stats[j], code = _fit_outcome(design, data.y, data.family, 1)
+        if live[j]:
+            t_stats[j], code = _fit_outcome(cells, y_cells, data.family, 1, weights[j])
+        else:
+            design = build_stage1_design(data.x[:, j], adjust)
+            t_stats[j], code = _fit_outcome(design, data.y, data.family, 1)
         if code:
             failed[j] = code
     if len(failed) == p:

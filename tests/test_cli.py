@@ -274,6 +274,25 @@ def test_out_directory_is_an_io_error(tmp_path, capsys, command):
     assert err.startswith("error IO_ERROR: ") and str(out) in err
 
 
+@pytest.mark.parametrize("kind", ["directory", "missing-parent"])
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command, kind):
+    out = tmp_path / "out"
+    if kind == "directory":
+        out.mkdir()
+    else:
+        out = out / "report.json"
+    monkeypatch.setattr("pairscreen.cli.run_replicates", must_not_run)
+    monkeypatch.setattr("pairscreen.cli.load_csv_matrix", must_not_run)
+    argv = unchecked_argv(command, tmp_path)[:-1] + [str(out)]
+    argv += ["--family", "gaussian", "--alpha1", "0", "--eta", "0.1"]
+    if command == "simulate":
+        argv += ["--b", "0.5"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error IO_ERROR: ") and str(out) in err
+
+
 class TestAnalyzeCommand:
     def test_end_to_end_report(self, tmp_path):
         x_path, y_path, x, y = make_analysis_files(tmp_path)
@@ -600,6 +619,17 @@ class TestAnalyzeCommand:
         )
         doc2 = json.loads(out2.read_text())
         assert doc2["alpha1"] == 0.5
+
+    def test_config_file_may_start_with_a_byte_order_mark(self, tmp_path):
+        x_path, y_path, _, _ = make_analysis_files(tmp_path, seed=11)
+        base = ["analyze", "--x", str(x_path), "--y", str(y_path)]
+        plain, bom = tmp_path / "plain.json", tmp_path / "bom.json"
+        cfg = {"family": "gaussian", "alpha1": 0.1, "eta": 0.1}
+        write_text(tmp_path / "cfg.json", json.dumps(cfg))
+        (tmp_path / "bom.cfg.json").write_bytes(b"\xef\xbb\xbf" + json.dumps(cfg).encode())
+        assert main(base + ["--config", str(tmp_path / "cfg.json"), "--out", str(plain)]) == 0
+        assert main(base + ["--config", str(tmp_path / "bom.cfg.json"), "--out", str(bom)]) == 0
+        assert plain.read_text().replace("plain.", "bom.") == bom.read_text()
 
     def test_config_values_are_converted_like_flags(self, tmp_path):
         x_path, y_path, _, _ = make_analysis_files(tmp_path, seed=11)

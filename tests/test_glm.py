@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairscreen import (
     GAUSSIAN,
@@ -22,6 +24,7 @@ from pairscreen import (
     wald_statistic,
 )
 from pairscreen.glm import DesignMatrix, GlmFit, family_from_name
+from pairscreen.pipeline import _fit_outcome
 
 
 def working_loglik(X, y, family, beta):
@@ -268,6 +271,61 @@ class TestWald:
         fit = self._manual_fit([0.0, 1.0], [[1.0, 0.0], [0.0, 0.0]], 25)
         with pytest.raises(DegenerateVariance):
             wald_statistic(fit, 1)
+
+
+class TestWeightedFit:
+    """Row weights are counts: the weighted fit is the fit on the rows
+    repeated by count."""
+
+    @staticmethod
+    def cells():
+        """(x, y) = (0, 1), (1, 1), (0, 0), (1, 0): one 0/1 column's cells."""
+        return build_stage1_design(np.tile([0.0, 1.0], 2)), np.repeat([1.0, 0.0], 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        counts=st.lists(st.integers(1, 400), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_cells_weighted_by_count_fit_like_their_rows(self, counts, seed):
+        # a random 0/1 column and response with every cell nonempty, in random row order
+        design, y = self.cells()
+        order = np.random.default_rng(seed).permutation(sum(counts))
+        rows = DesignMatrix(np.repeat(design.values, counts, axis=0)[order])
+        y_rows = np.repeat(y, counts)[order]
+        weights = np.array(counts, dtype=float)
+        got_t, got_code = _fit_outcome(design, y, LOGISTIC, 1, weights)
+        want_t, want_code = _fit_outcome(rows, y_rows, LOGISTIC, 1)
+        assert got_code == want_code
+        if not want_code:
+            assert abs(got_t - want_t) <= 1e-10
+
+    def test_maximum_is_at_the_cell_means(self):
+        design, y = self.cells()
+        fit = fit_glm(design, y, LOGISTIC, [3.0, 5.0, 7.0, 9.0])
+        assert fit.n == 24.0
+        # sigmoid(b0) = 3 / 10 and sigmoid(b0 + b1) = 5 / 14 at the maximum
+        assert fit.beta_hat[0] == pytest.approx(math.log(3.0 / 7.0), abs=1e-9)
+        assert fit.beta_hat[1] == pytest.approx(math.log(5.0 / 9.0) - math.log(3.0 / 7.0), abs=1e-9)
+
+    def test_n_and_rank_test_count_the_repeated_rows(self):
+        # two rows with distinct x and y: n = 4 > d = 2 by weight, full rank
+        design = build_stage1_design([0.0, 1.0])
+        assert fit_glm(design, [1.0, 3.0], GAUSSIAN, [2.0, 2.0]).n == 4.0
+        with pytest.raises(ValueError, match="need n > d"):
+            fit_glm(design, [1.0, 3.0], GAUSSIAN, [1.0, 1.0])
+        # full rank as two rows, but the repeated rows have a singular-value
+        # ratio near 1e-12, below the rank tolerance
+        design = build_stage1_design([0.0, 1e-6])
+        fit_glm(design, [0.0, 1.0], GAUSSIAN, [2.0, 2.0])
+        with pytest.raises(SingularDesign):
+            fit_glm(design, [0.0, 1.0], GAUSSIAN, [1.0, 1e12])
+
+    @pytest.mark.parametrize("weights", [[1.0, 0.0, 2.0, 3.0], [1.0, -1.0, 2.0, 3.0], [1.0, 2.0]])
+    def test_weights_must_be_positive_counts_per_row(self, weights):
+        design, y = self.cells()
+        with pytest.raises(ValueError, match="weights"):
+            fit_glm(design, y, LOGISTIC, weights)
 
 
 class TestInvariants:

@@ -252,8 +252,8 @@ class TestNotConverged:
     def patch_fit(self, monkeypatch, flagged):
         real_fit = pairscreen.pipeline.fit_glm
 
-        def fit_glm(design, y, family):
-            fit = real_fit(design, y, family)
+        def fit_glm(design, y, family, weights=None):
+            fit = real_fit(design, y, family, weights)
             if flagged(design.values):
                 return dataclasses.replace(fit, converged=False)
             return fit
@@ -351,6 +351,30 @@ class TestCellCounts:
         for (_, _, got), (_, _, want) in zip(fitted, expected_pairs):
             assert abs(got - want) <= 1e-10
 
+    def test_stage1_fits_each_column_once_from_cells_or_rows(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x = (rng.random((300, 4)) < 0.4).astype(float)
+        y = (rng.random(300) < 0.4).astype(float)
+        x[:, 1] = 0.0  # constant: two empty cells
+        x[:, 2] = 0.0
+        x[:40, 2] = 1.0
+        y[:40] = 1.0  # every carrier is a case: a pure cell
+        real_fit, fits = pairscreen.pipeline.fit_glm, []
+
+        def fit_glm(design, y, family, weights=None):
+            fits.append((design.values[:, 1].tolist(), None if weights is None else weights.tolist()))
+            return real_fit(design, y, family, weights)
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        screen = stage1_screen(Dataset(x=x, y=y, family=LOGISTIC), 0.0)
+        cell_x = [0.0, 1.0, 0.0, 1.0]
+        assert [design for design, _ in fits] == [cell_x, *x.T[1:3].tolist(), cell_x]
+        for j in (0, 3):  # counts of (x, y) = (0, 1), (1, 1), (0, 0), (1, 0)
+            want = [np.sum((x[:, j] == a) & (y == b)) for b in (1, 0) for a in (0, 1)]
+            assert fits[j][1] == want and min(want) > 0
+        assert fits[1][1] is None and fits[2][1] is None
+        assert screen.failed == {1: "SINGULAR_DESIGN"}
+
     @staticmethod
     def count_pair_fits(monkeypatch, data):
         """Run stage 2 and return the pairs it fitted with fit_glm."""
@@ -358,7 +382,7 @@ class TestCellCounts:
         real_fit = pairscreen.glm.fit_glm
         fitted = []
 
-        def fit_glm(design, y, family):
+        def fit_glm(design, y, family, weights=None):
             cols = [
                 j
                 for v in design.values.T[1:3]
@@ -366,7 +390,7 @@ class TestCellCounts:
                 if np.array_equal(v, data.x[:, j])
             ]
             fitted.append(tuple(cols))
-            return real_fit(design, y, family)
+            return real_fit(design, y, family, weights)
 
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
         stage2_tests(data, screen)
@@ -497,9 +521,9 @@ class TestBatchedFits:
         screen = stage1_screen(data, 0.0)
         real_fit, fitted = pairscreen.pipeline.fit_glm, []
 
-        def fit_glm(design, y, family):
+        def fit_glm(design, y, family, weights=None):
             fitted.append(tuple(design.values[:, 1:3].T.tolist()))
-            return real_fit(design, y, family)
+            return real_fit(design, y, family, weights)
 
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
         result = stage2_tests(data, screen)

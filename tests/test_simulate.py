@@ -325,8 +325,8 @@ class TestRunReplicates:
             stats[[flagged(v) for v in design]] = np.nan
             return stats
 
-        def fit_glm(design, y, family):
-            fit = real_fit(design, y, family)
+        def fit_glm(design, y, family, weights=None):
+            fit = real_fit(design, y, family, weights)
             return dataclasses.replace(fit, converged=False) if flagged(design.values) else fit
 
         monkeypatch.setattr(pairscreen.pipeline, "_batched_wald", batched_wald)
