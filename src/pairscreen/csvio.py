@@ -122,9 +122,9 @@ def dominant_encode(g) -> np.ndarray:
     """Map genotype counts {0, 1, 2} to a carrier indicator {0, 1}."""
     arr = np.asarray(g, dtype=float)
     cells = np.atleast_1d(arr)
-    bad = np.argwhere(~np.isin(cells, (0.0, 1.0, 2.0)))
-    if bad.size:
-        where = tuple(bad[0])
+    valid = (cells == 0.0) | (cells == 1.0) | (cells == 2.0)
+    if not valid.all():
+        where = tuple(np.argwhere(~valid)[0])
         col = int(where[-1]) + 1
         raise ParseError(
             "dominant encoding requires entries in {0, 1, 2}, "

@@ -63,7 +63,7 @@ class Family:
     binary: bool
 
     def validate_response(self, y: np.ndarray) -> None:
-        if self.binary and not np.isin(y, (0.0, 1.0)).all():
+        if self.binary and not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError(f"{self.name} requires responses in {{0, 1}}")
 
     def __reduce__(self):
@@ -180,13 +180,14 @@ def _check_rank(values: np.ndarray) -> None:
         )
 
 
-def _chol_solve(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve mat @ x = rhs via Cholesky; SingularDesign if not PD."""
+def _inverse_factor(mat: np.ndarray, message: str = "Cholesky factorization failed") -> np.ndarray:
+    """L^-1 for the Cholesky factor L of mat, so mat^-1 = L^-T L^-1; the
+    factorization is the positive-definiteness test: SingularDesign(message)."""
     try:
         chol = np.linalg.cholesky(mat)
     except np.linalg.LinAlgError:
-        raise SingularDesign("Cholesky factorization failed") from None
-    return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
+        raise SingularDesign(message) from None
+    return np.linalg.inv(chol)
 
 
 def _working_loglik(family: Family, theta: np.ndarray, y: np.ndarray, w, n) -> float:
@@ -232,7 +233,8 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     _check_rank(X if wv is None else X * np.sqrt(wv)[:, None])
 
     if family is GAUSSIAN:
-        beta = _chol_solve(xt @ X, xt @ yv)
+        li = _inverse_factor(xt @ X)
+        beta = li.T @ (li @ (xt @ yv))
         mu = X @ beta
         resid = yv - mu
         score = xt @ resid / n
@@ -245,25 +247,25 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
         resid = yv - mu
         score = xt @ resid / n
         fit_iters = 0
-        while np.max(np.abs(score)) > _SCORE_TARGET and fit_iters < _MAX_ITER:
+        while np.abs(score).max() > _SCORE_TARGET and fit_iters < _MAX_ITER:
             w = family.variance_from_mean(mu)
-            hess = (xt * w) @ X / n
-            step = _chol_solve(hess, score)
+            li = _inverse_factor((xt * w) @ X / n)
+            step = li.T @ (li @ score)
             # Halve until the working log-likelihood does not decrease
             # (allowing float-noise-level wiggle so steps near the optimum,
             # where ll changes fall below machine precision, still land).
             # After _MAX_HALVINGS rejected tries the next halving is taken as is.
             noise = 1e-12 * (1.0 + abs(ll))
-            scale = 1.0
+            cand, scale = beta + step, 1.0
             for halving in range(_MAX_HALVINGS + 1):
-                cand = beta + scale * step
                 theta = X @ cand
                 cand_ll = _working_loglik(family, theta, yv, wv, n)
                 if cand_ll >= ll - noise or halving == _MAX_HALVINGS:
                     break
                 scale *= 0.5
+                cand = beta + scale * step
             beta, ll = cand, cand_ll
-            if np.max(np.abs(beta)) > _SEPARATION_BOUND:
+            if np.abs(beta).max() > _SEPARATION_BOUND:
                 raise Separation(
                     f"|beta| exceeded {_SEPARATION_BOUND} during iteration "
                     "(fitted probabilities numerically 0/1)"
@@ -272,8 +274,8 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
             resid = yv - mu
             score = xt @ resid / n
             fit_iters += 1
-        converged = bool(np.max(np.abs(score)) <= _SCORE_CONTRACT)
-        if converged and np.max(np.abs(resid)) < 1e-6:
+        converged = bool(np.abs(score).max() <= _SCORE_CONTRACT)
+        if converged and np.abs(resid).max() < 1e-6:
             raise Separation("fit classifies every observation to within 1e-6")
 
     cov, model_cov = _sandwich_and_model_cov(X, xt, n, resid, family.variance_from_mean(mu))
@@ -283,7 +285,7 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
         model_cov=model_cov,
         converged=converged,
         iterations=fit_iters,
-        grad_norm=float(np.max(np.abs(score))),
+        grad_norm=float(np.abs(score).max()),
         n=n,
     )
 
@@ -294,13 +296,10 @@ def _sandwich_and_model_cov(X, xt, n, resid, w):
     row scaled by its count, and ``n`` the count sum."""
     a_mat = (xt * w) @ X / n
     b_mat = (xt * resid**2) @ X / n
-    try:
-        chol = np.linalg.cholesky(a_mat)
-    except np.linalg.LinAlgError:
-        raise SingularDesign("averaged Hessian is not positive definite") from None
-    a_inv = np.linalg.solve(chol.T, np.linalg.solve(chol, np.eye(X.shape[1])))
+    li = _inverse_factor(a_mat, "averaged Hessian is not positive definite")
+    a_inv = li.T @ li  # symmetric as computed: entry (i, j) sums the products of (j, i)
     cov = a_inv @ b_mat @ a_inv
-    return (cov + cov.T) / 2.0, (a_inv + a_inv.T) / 2.0
+    return (cov + cov.T) / 2.0, a_inv
 
 
 def wald_statistic(fit: GlmFit, coef_index: int) -> float:

@@ -196,9 +196,11 @@ def _run_task(item):
 
 def _map_items(func, shared: tuple, items, workers: int) -> list:
     """``[func(*shared, item) for item in items]``, in order.  With ``workers > 1``
-    the items go to a fork pool of at most one process per item and per CPU;
+    the items go to a fork pool of at most one process per item and per CPU
+    this process may run on (its affinity mask, where the platform has one);
     ``shared`` reaches the workers unpickled."""
-    workers = min(workers, len(items), os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(workers, len(items), cpus or 1)
     if workers <= 1:
         return [func(*shared, item) for item in items]
     ctx = multiprocessing.get_context("fork")

@@ -530,10 +530,21 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", 2 * x.shape[0])  # 5 blocks
         monkeypatch.setattr(pairscreen.pipeline, "_WORKER_TASK", ())
         monkeypatch.setattr(pairscreen.pipeline.multiprocessing, "get_context", lambda _: context)
-        for cpus, workers in ((2, 64), (8, 64), (8, 3)):
-            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
-            assert run(workers) == one
-        assert context.processes == [2, 5, 3]  # min(workers, blocks, CPUs) here
+
+        def usable_cpus_by_mask(cpus):  # more CPUs on the host than in the mask
+            monkeypatch.setattr(os, "cpu_count", lambda: 64)
+            monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)), raising=False)
+
+        def usable_cpus_by_count(cpus):  # a platform without affinity masks
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+
+        for set_cpus in (usable_cpus_by_mask, usable_cpus_by_count):
+            context.processes.clear()
+            for cpus, workers in ((2, 64), (8, 64), (8, 3)):
+                set_cpus(cpus)
+                assert run(workers) == one
+            assert context.processes == [2, 5, 3]  # min(workers, blocks, CPUs) here
 
     def test_adjust_file_changes_stage2(self, tmp_path):
         rng = np.random.default_rng(14)
