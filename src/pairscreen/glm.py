@@ -128,7 +128,7 @@ class GlmFit:
     converged: bool
     iterations: int
     grad_norm: float
-    n: float  # the row count, or the weight sum of a weighted fit
+    n: float  # the weight sum: the row count as a float for an unweighted fit
 
 
 def _as_vector(x, name: str) -> np.ndarray:
@@ -191,8 +191,6 @@ def _inverse_factor(mat: np.ndarray, message: str = "Cholesky factorization fail
 
 
 def _working_loglik(family: Family, theta: np.ndarray, y: np.ndarray, w, n) -> float:
-    if w is None:
-        return float(np.mean(y * theta - family.cumulant(theta)))
     return float(w @ (y * theta - family.cumulant(theta)) / n)
 
 
@@ -204,9 +202,9 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     returned fit carries the sandwich covariance.
 
     ``weights``, if given, are positive row counts: the fit is the fit on
-    the rows repeated by count.  Every mean, score, Hessian and sandwich sum
-    is weighted, n is the weight sum, and the rank test runs on the
-    sqrt(weight)-scaled rows.
+    the rows repeated by count, and without them each row counts once.
+    Every mean, score, Hessian and sandwich sum is weighted by the counts,
+    n is their sum, and the rank test runs on the sqrt(count)-scaled rows.
 
     Raises SingularDesign for rank-deficient designs and Separation when a
     logistic iterate leaves the |beta| <= 30 box or the converged fit
@@ -219,18 +217,14 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     rows, d = X.shape
     if yv.size != rows:
         raise ValueError(f"response length {yv.size} does not match n={rows}")
-    # xt holds the weighted transposed rows, so X.T itself serves unweighted fits
-    if weights is None:
-        wv, n, xt = None, rows, X.T
-    else:
-        wv = _as_vector(weights, "weights")
-        if wv.size != rows or not (wv > 0.0).all():
-            raise ValueError(f"weights must be {rows} positive counts")
-        n, xt = float(wv.sum()), X.T * wv
+    wv = np.ones(rows) if weights is None else _as_vector(weights, "weights")
+    if wv.size != rows or not (wv > 0.0).all():
+        raise ValueError(f"weights must be {rows} positive counts")
+    n, xt = float(wv.sum()), X.T * wv  # xt: the transposed rows times their counts
     if n <= d:
         raise ValueError(f"need n > d, got n={n}, d={d}")
     family.validate_response(yv)
-    _check_rank(X if wv is None else X * np.sqrt(wv)[:, None])
+    _check_rank(X * np.sqrt(wv)[:, None])
 
     if family is GAUSSIAN:
         li = _inverse_factor(xt @ X)

@@ -1,8 +1,8 @@
 """Standard-normal utilities: CDF, two-sided tails, and tail inversion.
 
-The screening thresholds, the FDR cutoff search and the power diagnostics
-all reduce to the standard normal CDF ``Phi``, the two-sided tail
-``G(t) = 2 - 2*Phi(t) = erfc(t / sqrt(2))`` and its inverse.  Both come
+The FDR cutoff search reduces to the two-sided normal tail
+``G(t) = 2 - 2*Phi(t) = erfc(t / sqrt(2))`` and its inverse, and
+``normal_cdf`` is the standard normal CDF ``Phi`` itself.  All come
 from the standard library, so there is no SciPy dependency: the tails from
 ``math.erfc``, accurate in relative terms over the whole range (``G`` stays
 nonzero until it underflows near t = 38), and the inverse from
@@ -20,7 +20,6 @@ __all__ = [
     "normal_cdf",
     "gauss_two_sided_tail",
     "gauss_tail_inverse",
-    "noncentral_two_sided_tail",
 ]
 
 _SQRT2 = math.sqrt(2.0)
@@ -62,18 +61,3 @@ def gauss_tail_inverse(q: float) -> float:
         return 0.0  # inv_cdf(0.5) is 0.0, and -0.0 is not the t >= 0 asked for
     # q / 2 rounds to 0 for the smallest subnormal q alone
     return -_STANDARD.inv_cdf(max(q / 2.0, math.ulp(0.0)))
-
-
-def noncentral_two_sided_tail(alpha: float, mu: float) -> float:
-    """P(|N(0,1) + mu| >= alpha) = [1 - Phi(alpha - mu)] + [1 - Phi(alpha + mu)].
-
-    Requires alpha >= 0; symmetric in the sign of mu, and equal to
-    gauss_two_sided_tail(alpha) when mu = 0.
-    """
-    alpha = float(alpha)
-    mu = float(mu)
-    if not math.isfinite(alpha) or alpha < 0.0:
-        raise ValueError(f"noncentral_two_sided_tail requires alpha >= 0, got {alpha!r}")
-    if not math.isfinite(mu):
-        raise ValueError(f"noncentral_two_sided_tail requires finite mu, got {mu!r}")
-    return 0.5 * (math.erfc((alpha - mu) / _SQRT2) + math.erfc((alpha + mu) / _SQRT2))

@@ -58,7 +58,6 @@ __all__ = [
     "stage2_tests",
     "fdr_cutoff",
     "run_two_stage",
-    "theoretical_cstar",
 ]
 
 INTERACTION_INDEX = 3  # column of x_j * x_k in the stage-2 design
@@ -161,8 +160,8 @@ class FdrReport:
 
 def alpha_from_rate(alpha1: float, p: int) -> float:
     """Stage-1 threshold alpha = sqrt(alpha1 * log p) (natural log)."""
-    if alpha1 < 0:
-        raise ValueError(f"alpha1 must be >= 0, got {alpha1}")
+    if not 0.0 <= alpha1 < math.inf:
+        raise ValueError(f"alpha1 must be finite and >= 0, got {alpha1}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     return math.sqrt(alpha1 * math.log(p))
@@ -218,7 +217,7 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     Failed fits are recorded with a status code and never pass.  Raises
     AllFitsFailed when no column could be fitted.
     """
-    if alpha < 0:
+    if not alpha >= 0.0:  # NaN too
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     p = data.p
     adjust = data.adjust if adjust_in_stage1 else None
@@ -326,7 +325,8 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     pair statistics, so each interval is solved in closed form through the
     tail inverse; the first feasible interval yields the infimum.  Returns
     sqrt(2 log p) when the condition is nowhere satisfied (including the
-    M = 0 case, which has empty-rejection semantics).
+    M = 0 case, which has empty-rejection semantics).  A NaN statistic marks
+    a failed fit: it counts in M and never in R(t).
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta must be in (0, 1), got {eta}")
@@ -335,6 +335,7 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     stats = np.abs(np.asarray(pair_stats, dtype=float))
     if m_tested < stats.size:
         raise ValueError(f"m_tested={m_tested} smaller than the number of statistics {stats.size}")
+    stats = stats[~np.isnan(stats)]
     t_max = math.sqrt(2.0 * math.log(p))
     if m_tested == 0:
         return t_max
@@ -361,15 +362,15 @@ def _cutoff_and_reject(t1, alpha: float, pairs: PairTestResult, p: int, eta: flo
 
     Variables with stage-1 ``|T1| >= alpha`` pass (NaN never does); their
     pairs are tested, ``M = p1 (p1 - 1) / 2``, and ``t_hat`` is the cutoff
-    over the tested pairs whose fits succeeded.  ``rejected`` masks
-    ``pairs``, which may include untested pairs: tested and ``|T| >= t_hat``
-    (``>`` when strict).
+    over the tested pairs (a failed fit's NaN T counts in M alone).
+    ``rejected`` masks ``pairs``, which may include untested pairs: tested
+    and ``|T| >= t_hat`` (``>`` when strict).
     """
     passes = np.abs(t1) >= alpha
     p1 = int(np.count_nonzero(passes))
     tested = passes[pairs.j] & passes[pairs.k]
     abs_t = np.abs(pairs.t)
-    t_hat = fdr_cutoff(abs_t[tested & (pairs.status == "")], p1 * (p1 - 1) // 2, p, eta)
+    t_hat = fdr_cutoff(abs_t[tested], p1 * (p1 - 1) // 2, p, eta)
     return p1, t_hat, tested & (abs_t > t_hat if strict else abs_t >= t_hat)
 
 
@@ -406,15 +407,3 @@ def run_two_stage(
         stage1_failed=dict(screen.failed),
         strict=bool(strict_cutoff),
     )
-
-
-def theoretical_cstar(eta: float, a1: int, m_tested: int, p: int) -> float:
-    """Power-analysis threshold G^-1(eta * a1 / M) / sqrt(log p)."""
-    if a1 <= 0:
-        raise ValueError(f"a1 must be positive, got {a1}")
-    if p < 2:
-        raise ValueError(f"p must be >= 2, got {p}")
-    q = eta * a1 / m_tested
-    if not 0.0 < q <= 1.0:
-        raise ValueError(f"eta * a1 / M must be in (0, 1], got {q}")
-    return gauss_tail_inverse(q) / math.sqrt(math.log(p))

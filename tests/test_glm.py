@@ -6,6 +6,7 @@ of the log-likelihood for the score.
 """
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from pairscreen import (
     GAUSSIAN,
     LOGISTIC,
+    Dataset,
     DegenerateVariance,
     Separation,
     SingularDesign,
@@ -55,6 +57,23 @@ def random_instance(rng, family, n=None, d=None):
     else:
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
     return X, y
+
+
+class TestFamilyPickling:
+    """Code tests a family by identity (``family is LOGISTIC``), so an
+    unpickled family, as in a worker process, must be the same instance."""
+
+    def test_unpickled_family_is_the_same_instance(self):
+        for family in (GAUSSIAN, LOGISTIC):
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(family, protocol)) is family
+
+    def test_unpickled_dataset_keeps_its_family(self):
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((20, 3))
+        for family, y in ((GAUSSIAN, rng.standard_normal(20)), (LOGISTIC, np.arange(20) % 2.0)):
+            data = pickle.loads(pickle.dumps(Dataset(x=x, y=y, family=family)))
+            assert data.family is family
 
 
 class TestDesignBuilders:

@@ -18,7 +18,6 @@ import pairscreen
 from pairscreen import (
     gauss_tail_inverse,
     gauss_two_sided_tail,
-    noncentral_two_sided_tail,
     normal_cdf,
 )
 
@@ -126,47 +125,6 @@ class TestTailInverse:
         for bad in (0.0, -0.3, 1.0000001, 2.0):
             with pytest.raises(ValueError):
                 gauss_tail_inverse(bad)
-
-
-class TestNoncentralTail:
-    def test_alpha_zero_is_one(self):
-        for mu in (-4.0, 0.0, 0.7, 25.0):
-            assert noncentral_two_sided_tail(0.0, mu) == 1.0
-
-    def test_reduces_to_central(self):
-        # oracle: G(1.0) = 0.3173105078629141
-        assert noncentral_two_sided_tail(1.0, 0.0) == pytest.approx(
-            0.3173105078629141, abs=1e-6
-        )
-        for alpha in (0.3, 2.0, 5.5, 9.0):
-            assert noncentral_two_sided_tail(alpha, 0.0) == gauss_two_sided_tail(alpha)
-
-    def test_shifted_example(self):
-        # oracle: 1 - Phi(-1) + 1 - Phi(5) = 0.8413450327201148
-        assert noncentral_two_sided_tail(2.0, 3.0) == pytest.approx(
-            0.8413450327201148, abs=1e-6
-        )
-
-    def test_symmetry_in_mu(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            alpha = float(rng.uniform(0, 6))
-            mu = float(rng.normal(scale=3))
-            assert noncentral_two_sided_tail(alpha, mu) == noncentral_two_sided_tail(
-                alpha, -mu
-            )
-
-    def test_matches_direct_normal_probability(self):
-        rng = np.random.default_rng(11)
-        for _ in range(30):
-            alpha = float(rng.uniform(0, 4))
-            mu = float(rng.normal(scale=2))
-            oracle = stats.norm.sf(alpha - mu) + stats.norm.sf(alpha + mu)
-            assert noncentral_two_sided_tail(alpha, mu) == pytest.approx(oracle, abs=1e-12)
-
-    def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            noncentral_two_sided_tail(-1.0, 0.0)
 
 
 def test_import_loads_no_scipy():

@@ -29,7 +29,6 @@ from pairscreen import (
     run_two_stage,
     stage1_screen,
     stage2_tests,
-    theoretical_cstar,
 )
 from pairscreen.pipeline import ScreenResult, alpha_from_rate
 
@@ -137,6 +136,12 @@ class TestAlphaFromRate:
         with pytest.raises(ValueError):
             alpha_from_rate(0.5, 1)
 
+    def test_nan_and_infinite_rates_rejected(self):
+        # either would pass no variable and write a report that is not JSON
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="alpha1"):
+                alpha_from_rate(bad, 100)
+
 
 class TestStage1:
     def test_alpha_zero_passes_all_fitted(self):
@@ -173,6 +178,12 @@ class TestStage1:
         data = Dataset(x=x, y=rng.standard_normal(30), family=GAUSSIAN)
         with pytest.raises(AllFitsFailed):
             stage1_screen(data, 0.0)
+
+    def test_nan_threshold_rejected(self):
+        data = make_dataset(np.random.default_rng(4))
+        for bad in (math.nan, -0.5):
+            with pytest.raises(ValueError, match="alpha"):
+                stage1_screen(data, bad)
 
 
 class TestStage2:
@@ -566,6 +577,27 @@ class TestFdrCutoff:
     def test_m_zero_empty_semantics(self):
         assert fdr_cutoff([], 0, 50, 0.1) == pytest.approx(math.sqrt(2 * math.log(50)))
 
+    def test_nan_statistics_count_in_m_only(self):
+        # R(t) counts the single fitted 5.0 at every t: G^-1(0.05 / 3) = 2.394
+        assert fdr_cutoff([5.0, math.nan, math.nan], 3, 100, 0.05) == pytest.approx(
+            2.39398, abs=1e-4
+        )
+        assert fdr_cutoff([math.nan] * 3, 3, 100, 0.05) == fdr_cutoff([], 3, 100, 0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stats=st.lists(st.floats(0.0, 8.0), max_size=30),
+        nans=st.integers(1, 10),
+        extra=st.integers(0, 10),
+        p=st.integers(2, 500),
+        eta=st.floats(0.01, 0.5),
+        draw=st.data(),
+    )
+    def test_nan_statistics_leave_the_cutoff_unchanged(self, stats, nans, extra, p, eta, draw):
+        m = len(stats) + nans + extra
+        mixed = draw.draw(st.permutations(stats + [math.nan] * nans))
+        assert fdr_cutoff(mixed, m, p, eta) == fdr_cutoff(stats, m, p, eta)
+
     def test_m_smaller_than_stats_rejected(self):
         with pytest.raises(ValueError):
             fdr_cutoff([1.0, 2.0], 1, 10, 0.05)
@@ -705,6 +737,11 @@ class TestRunTwoStage:
         r2 = run_two_stage(data, 0.2, 0.1)
         assert_same_report(r1, r2)
 
+    def test_nan_alpha1_rejected(self):
+        data = make_dataset(np.random.default_rng(15), n=60, p=6)
+        with pytest.raises(ValueError, match="alpha1"):
+            run_two_stage(data, alpha1=math.nan, eta=0.1)
+
     def test_workers_identical_report(self):
         rng = np.random.default_rng(14)
         data = make_dataset(rng, n=60, p=9)
@@ -727,24 +764,3 @@ class TestRunTwoStage:
         t_with = stage2_tests(with_adj, s_with)
         t_without = stage2_tests(without, s_without)
         assert not np.array_equal(t_with.t, t_without.t)  # adjusters do enter stage-2 designs
-
-
-class TestTheoreticalCstar:
-    def test_unit_ratio(self):
-        assert theoretical_cstar(0.05, 20, 1, 100) == 0.0
-
-    def test_a1_equals_m(self):
-        # G^-1(0.05) / sqrt(log 100) = 0.913324796632072
-        assert theoretical_cstar(0.05, 7, 7, 100) == pytest.approx(0.913325, abs=1e-4)
-
-    def test_sparse_alternatives(self):
-        # G^-1(0.01) / sqrt(log 100) = 1.2003122472553054
-        assert theoretical_cstar(0.1, 10, 100, 100) == pytest.approx(1.20031, abs=1e-4)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            theoretical_cstar(0.05, 0, 10, 100)
-        with pytest.raises(ValueError):
-            theoretical_cstar(0.05, 10, 10, 1)
-        with pytest.raises(ValueError):
-            theoretical_cstar(0.5, 30, 10, 100)  # ratio > 1
