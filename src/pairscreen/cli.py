@@ -149,6 +149,8 @@ def _merge_config(args: argparse.Namespace, command: argparse.ArgumentParser):
         try:
             if action.nargs == 0 and not isinstance(value, bool):  # store_true flag
                 raise ValueError(f"expected true or false, got {value!r}")
+            if action.nargs != 0 and isinstance(value, bool):  # str(True) is the text "True"
+                raise ValueError(f"true or false is only the value of a flag, got {value!r}")
             if action.type is not None:
                 value = action.type(value if isinstance(value, list) else str(value))
             if action.choices is not None and value not in action.choices:

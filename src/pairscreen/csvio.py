@@ -1,9 +1,9 @@
-"""CSV ingestion and serialization.
+"""CSV ingestion and the text of output numbers.
 
 Input matrices are UTF-8 comma-separated files, with or without a
 byte-order mark, with one header row and purely numeric cells; missing
 values and text that is not UTF-8 are a hard error (no imputation).
-Floats are written with ``repr``, which is exact under round-trip.
+``format_number`` writes floats with ``repr``, exact under round-trip.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import EmptyInput, ParseError
 
-__all__ = ["load_csv_matrix", "write_csv_matrix", "dominant_encode", "format_number"]
+__all__ = ["load_csv_matrix", "dominant_encode", "format_number"]
 
 
 def format_number(value) -> str:
@@ -104,18 +104,6 @@ def _load_cell_by_cell(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:
                 )
             data[r, j] = value
     return data, header
-
-
-def write_csv_matrix(path, matrix, labels) -> None:
-    """Write a matrix with a header row; LF line endings, '.' decimals."""
-    arr = np.asarray(matrix, dtype=float)
-    if arr.ndim != 2 or len(labels) != arr.shape[1]:
-        raise ValueError("matrix must be 2-D with one label per column")
-    with open(path, "w", newline="\n", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(labels)
-        for row in arr:
-            writer.writerow([format_number(v) for v in row])
 
 
 def dominant_encode(g) -> np.ndarray:

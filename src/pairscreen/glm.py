@@ -44,6 +44,9 @@ _SCORE_CONTRACT = 1e-8
 _SCORE_TARGET = 1e-10
 _MAX_ITER = 100
 _MAX_HALVINGS = 30
+_HALVING_SLACK = 1e-12  # a step may lower ll by this much times 1 + |ll|
+_PERFECT_RESID = 1e-6  # a logistic fit with every |resid| below this is separated
+_PERFECT_VAR = 1e-24  # least sandwich/model variance ratio of a Wald T
 
 
 @dataclass(frozen=True)
@@ -249,7 +252,7 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
             # (allowing float-noise-level wiggle so steps near the optimum,
             # where ll changes fall below machine precision, still land).
             # After _MAX_HALVINGS rejected tries the next halving is taken as is.
-            noise = 1e-12 * (1.0 + abs(ll))
+            noise = _HALVING_SLACK * (1.0 + abs(ll))
             cand, scale = beta + step, 1.0
             for halving in range(_MAX_HALVINGS + 1):
                 theta = X @ cand
@@ -269,7 +272,7 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
             score = xt @ resid / n
             fit_iters += 1
         converged = bool(np.abs(score).max() <= _SCORE_CONTRACT)
-        if converged and np.abs(resid).max() < 1e-6:
+        if converged and np.abs(resid).max() < _PERFECT_RESID:
             raise Separation("fit classifies every observation to within 1e-6")
 
     cov, model_cov = _sandwich_and_model_cov(X, xt, n, resid, family.variance_from_mean(mu))
@@ -309,7 +312,7 @@ def wald_statistic(fit: GlmFit, coef_index: int) -> float:
     var = float(fit.sandwich_cov[coef_index, coef_index])
     if not np.isfinite(var) or var <= 0.0:
         raise DegenerateVariance(f"sandwich diagonal entry {var!r} at index {coef_index}")
-    if var < 1e-24 * float(fit.model_cov[coef_index, coef_index]):
+    if var < _PERFECT_VAR * float(fit.model_cov[coef_index, coef_index]):
         raise DegenerateVariance(
             f"sandwich diagonal at index {coef_index} is numerically zero (perfect fit)"
         )
@@ -339,7 +342,7 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     """Wald statistics of a block of working fits, replaying fit_glm's rules.
 
     Fit i has the rows of ``design[i]`` (B x r x d), responses ``y`` (shared
-    or B x r) and optional row ``weights`` (counts, shaped like ``y``).
+    or B x r) and optional row ``weights`` (positive counts, shaped like ``y``).
     Returns the sqrt(n)-scaled T of coefficient ``coef_index`` per fit, n
     its weight sum, or NaN where fit_glm must decide: a fit that needs a
     halved step, leaves the |beta| box, misses the score contract or fails
@@ -377,12 +380,13 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
         # residuals far below y lose their digits to cancellation in y - mu
         ok = wr2.sum(axis=1) >= _RESID_FLOOR * (w * y**2).sum(axis=1)
         if family is LOGISTIC:
-            ok &= np.where(w > 0.0, np.abs(resid), 0.0).max(axis=1) >= 1e-6
+            ok &= np.abs(resid).max(axis=1) >= _PERFECT_RESID
         a_mat = moment(w * family.variance_from_mean(mu))
         u, ok = _conditioned_solve(a_mat, np.broadcast_to(np.eye(d)[coef_index], beta.shape), ok)
         var = np.einsum("bi,bij,bj->b", u, moment(wr2), u)  # u = A^-1 e_k
         stat = np.sqrt(n) * beta[:, coef_index] / np.sqrt(var)
-        ok &= np.isfinite(var) & (var > 0.0) & (var >= 1e-24 * u[:, coef_index]) & np.isfinite(stat)
+        ok &= np.isfinite(var) & (var > 0.0) & np.isfinite(stat)
+        ok &= var >= _PERFECT_VAR * u[:, coef_index]
         stats[index[ok]] = stat[ok]
 
     # Newton steps from beta = 0: the first Hessian is a multiple of the Gram
@@ -406,7 +410,7 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
         cand = beta + step
         theta = (cand[:, None, :] @ xt)[:, 0]
         cand_ll = loglik(theta)
-        ok &= cand_ll >= ll - 1e-12 * (1.0 + np.abs(ll))
+        ok &= cand_ll >= ll - _HALVING_SLACK * (1.0 + np.abs(ll))
         if family is LOGISTIC:
             ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
         beta = np.where(ok[:, None], cand, np.where(going[:, None], np.nan, beta))

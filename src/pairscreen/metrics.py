@@ -48,12 +48,12 @@ def efficiency_omega(p: int, p1: int) -> float:
     return (2 * p + p1 * (p1 - 1)) / (p * (p - 1))
 
 
-def mean_and_se(values) -> tuple[float, float]:
-    """Sample mean and Monte-Carlo standard error sqrt(s^2 / m)."""
+def mean_and_se(values) -> tuple[float | None, float | None]:
+    """Sample mean and Monte-Carlo standard error sqrt(s^2 / m); None, None if empty."""
     vals = [float(v) for v in values]
     m = len(vals)
     if m == 0:
-        raise ValueError("mean_and_se requires at least one value")
+        return None, None
     mean = sum(vals) / m
     if m == 1:
         return mean, 0.0

@@ -387,6 +387,8 @@ def run_two_stage(
     ``alpha1 = 0`` is the BH special case (every fitted variable passes).
     """
     alpha = alpha_from_rate(alpha1, data.p)
+    if not 0.0 < eta < 1.0:  # fdr_cutoff checks it too, but only after every fit
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
     screen = stage1_screen(data, alpha, adjust_in_stage1=adjust_in_stage1)
     pairs = stage2_tests(data, screen, workers=workers)
     p1, t_hat, rejected = _cutoff_and_reject(

@@ -18,7 +18,7 @@ def rejected_csv_path(out_path) -> Path:
     return out.with_name(out.stem + ".rejected.csv")
 
 
-def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str | None = None) -> dict:
+def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str) -> dict:
     res = report.pairs
     rows = zip(res.j.tolist(), res.k.tolist(), res.t.tolist(), res.status.tolist())
     pairs, skipped = [], []
@@ -28,7 +28,7 @@ def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str | None = 
             skipped.append({**rec, "reason": status})
         else:
             pairs.append({**rec, "t_jk": t, "rejected": rejected})
-    doc = {
+    return {
         "tool": "pairscreen",
         "command": "analyze",
         "family": data.family.name,
@@ -48,10 +48,8 @@ def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str | None = 
         "stage1_failed": {str(j): code for j, code in sorted(report.stage1_failed.items())},
         "pairs": pairs,
         "skipped": skipped,
+        "rejected_csv": rejected_csv,
     }
-    if rejected_csv is not None:
-        doc["rejected_csv"] = rejected_csv
-    return doc
 
 
 def write_report(report: FdrReport, data: Dataset, out_path) -> Path:

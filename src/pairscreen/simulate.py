@@ -206,10 +206,10 @@ def gen_response(design: np.ndarray, truth: SimTruth, config: SimConfig) -> np.n
 
 
 def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j, k) -> np.ndarray:
-    """Responses from theta_jk, extras included, for the pairs ``(j[i], k[i])``:
-    one row per pair (an n-vector for scalar j, k), each from its own substream
+    """Responses from theta_jk, extras included, for the pairs ``(j[i], k[i])``
+    of the index arrays j, k: one row per pair, each from its own substream
     through one Philox re-keyed per pair, so a row does not depend on the block."""
-    jj, kk = np.atleast_1d(j, k)
+    jj, kk = np.asarray(j), np.asarray(k)
     if jj.shape != kk.shape or jj.ndim != 1 or not ((0 <= jj) & (jj < kk) & (kk < config.p)).all():
         raise ValueError(f"pairs must be index vectors with 0 <= j < k < p = {config.p}")
     x = design.T
@@ -229,7 +229,7 @@ def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j,
         key[1] = tag & _SEED_MASK
         rng.bit_generator.state = state  # the setter copies: a fresh stream per pair
         y[i] = _draw_response(theta[i], config, rng)
-    return y if np.ndim(j) else y[0]
+    return y
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -261,7 +261,7 @@ class MetricsRow:
     failed_reps: int | None = None
 
 
-def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> list[MetricsRow]:
+def _run_one_replicate(config: SimConfig, alphas: dict, eta: float, rep: int) -> list[MetricsRow]:
     cfg = replace(config, seed=config.seed + rep)
     family = family_from_name(cfg.family)
     truth = gen_truth(cfg)
@@ -271,13 +271,12 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
     # Pair statistics do not depend on alpha1 (each pair response has its
     # own substream), so one screen at the smallest alpha passes the widest
     # set, whose pairs are fitted once and masked for every alpha1.
-    alphas = [alpha_from_rate(alpha1, cfg.p) for alpha1 in alpha1_list]
     try:
-        screen = stage1_screen(data, min(alphas))
+        screen = stage1_screen(data, min(alphas.values()))
     except PairscreenError as exc:
         return [
             MetricsRow(alpha1=a1, b=cfg.b, rep=rep, seed=cfg.seed, error=exc.code)
-            for a1 in alpha1_list
+            for a1 in alphas
         ]
 
     pairs = stage2_tests(
@@ -286,7 +285,7 @@ def _run_one_replicate(config: SimConfig, alpha1_list, eta: float, rep: int) -> 
         pair_response=lambda j, k: gen_pair_response(design, truth, cfg, j, k),
     )
     rows: list[MetricsRow] = []
-    for alpha1, alpha in zip(alpha1_list, alphas):
+    for alpha1, alpha in alphas.items():
         p1, t_hat, hit = _cutoff_and_reject(screen.t_stats, alpha, pairs, cfg.p, eta)
         rejected = np.zeros_like(truth.h1)
         rejected[pairs.j[hit], pairs.k[hit]] = True
@@ -317,20 +316,19 @@ def run_replicates(
     """Run ``reps`` seeded replicates, analyzing each at every alpha1.
 
     Replicate r uses seed config.seed + r, so output is identical for any
-    worker count.  alpha1 = 0 in the list is the BH baseline.  Rows come
-    back ordered by (rep, alpha1 position).
+    worker count.  alpha1 = 0 in the list is the BH baseline; the rates must
+    be distinct.  Rows come back ordered by (rep, alpha1 position).
     """
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     alpha1_list = list(alpha1_list)
-    if not alpha1_list:
-        raise ValueError("alpha1_list must be nonempty")
-    per_rep = _map_items(_run_one_replicate, (config, alpha1_list, eta), range(reps), workers)
+    alphas = {alpha1: alpha_from_rate(alpha1, config.p) for alpha1 in alpha1_list}
+    if not alphas or len(alphas) < len(alpha1_list):  # a repeated alpha1 would merge its cells
+        raise ValueError(f"alpha1_list must be nonempty and distinct, got {alpha1_list}")
+    if not 0.0 < eta < 1.0:
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    per_rep = _map_items(_run_one_replicate, (config, alphas, eta), range(reps), workers)
     return [row for rep_rows in per_rep for row in rep_rows]
-
-
-def _mean_se(values) -> tuple[float | None, float | None]:
-    return mean_and_se(values) if values else (None, None)
 
 
 def aggregate_rows(rows: list[MetricsRow]) -> list[MetricsRow]:
@@ -348,9 +346,9 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[MetricsRow]:
     out = []
     for (b, alpha1), cell in cells.items():
         good = [r for r in cell if r.error is None]
-        fdp, fdp_se = _mean_se([r.fdp for r in good])
+        fdp, fdp_se = mean_and_se([r.fdp for r in good])
         powers = [r.power for r in good if r.power is not None]
-        power, power_se = _mean_se(powers)
+        power, power_se = mean_and_se(powers)
         out.append(
             MetricsRow(
                 alpha1=alpha1,
@@ -362,10 +360,10 @@ def aggregate_rows(rows: list[MetricsRow]) -> list[MetricsRow]:
                 power=power,
                 power_se=power_se,
                 power_reps=len(powers),
-                omega=_mean_se([r.omega for r in good])[0],
-                p1=_mean_se([r.p1 for r in good])[0],
-                t_hat=_mean_se([r.t_hat for r in good])[0],
-                rejections=_mean_se([r.rejections for r in good])[0],
+                omega=mean_and_se([r.omega for r in good])[0],
+                p1=mean_and_se([r.p1 for r in good])[0],
+                t_hat=mean_and_se([r.t_hat for r in good])[0],
+                rejections=mean_and_se([r.rejections for r in good])[0],
                 failed_reps=len(cell) - len(good),
             )
         )

@@ -21,7 +21,7 @@ from pairscreen import (
 )
 import pairscreen.pipeline
 from pairscreen.cli import main
-from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix, write_csv_matrix
+from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix
 from pairscreen.pipeline import _fit_outcome
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
@@ -29,6 +29,12 @@ SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.j
 
 def write_text(path, text):
     path.write_text(text, encoding="utf-8")
+
+
+def write_csv(path, matrix, labels):
+    """A header row, then one row of ``format_number`` cells per matrix row."""
+    rows = [labels, *(map(format_number, row) for row in np.asarray(matrix, dtype=float))]
+    write_text(path, "".join(",".join(row) + "\n" for row in rows))
 
 
 class TestLoadCsv:
@@ -127,7 +133,7 @@ class TestLoadCsv:
         rng = np.random.default_rng(0)
         matrix = rng.standard_normal((17, 4)) * 10.0 ** rng.integers(-8, 8, size=(17, 4))
         f = tmp_path / "m.csv"
-        write_csv_matrix(f, matrix, ("a", "b", "c", "d"))
+        write_csv(f, matrix, ("a", "b", "c", "d"))
         back, labels = load_csv_matrix(f)
         assert labels == ("a", "b", "c", "d")
         assert np.array_equal(back, matrix)  # repr serialization is exact
@@ -183,8 +189,8 @@ def make_analysis_files(tmp_path, n=60, p=5, seed=0):
         + rng.standard_normal(n)
     )
     x_path, y_path = tmp_path / "x.csv", tmp_path / "y.csv"
-    write_csv_matrix(x_path, x, tuple(f"v{i}" for i in range(p)))
-    write_csv_matrix(y_path, y[:, None], ("y",))
+    write_csv(x_path, x, tuple(f"v{i}" for i in range(p)))
+    write_csv(y_path, y[:, None], ("y",))
     return x_path, y_path, x, y
 
 
@@ -380,8 +386,8 @@ class TestAnalyzeCommand:
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 2))
         y = x[:, 0] + x[:, 1] + rng.standard_normal(30)
-        write_csv_matrix(tmp_path / "x.csv", x, ("a", "b"))
-        write_csv_matrix(tmp_path / "y.csv", y[:, None], ("y",))
+        write_csv(tmp_path / "x.csv", x, ("a", "b"))
+        write_csv(tmp_path / "y.csv", y[:, None], ("y",))
         out = tmp_path / "r.json"
         code = main(
             [
@@ -434,8 +440,8 @@ class TestAnalyzeCommand:
         rng = np.random.default_rng(8)
         g = rng.integers(0, 3, size=(40, 3)).astype(float)
         y = (g[:, 0] > 0) * 1.0 + rng.standard_normal(40)
-        write_csv_matrix(tmp_path / "g.csv", g, ("s1", "s2", "s3"))
-        write_csv_matrix(tmp_path / "y.csv", y[:, None], ("y",))
+        write_csv(tmp_path / "g.csv", g, ("s1", "s2", "s3"))
+        write_csv(tmp_path / "y.csv", y[:, None], ("y",))
         out = tmp_path / "r.json"
         code = main(
             [
@@ -458,8 +464,8 @@ class TestAnalyzeCommand:
         carrier = g > 0
         y = (rng.random(150) < 1 / (1 + np.exp(0.5 - 1.2 * carrier[:, 0] * carrier[:, 1]))) * 1.0
         y[carrier[:, 2] & carrier[:, 3]] = 1.0  # pair (2, 3) has a pure cell
-        write_csv_matrix(tmp_path / "g.csv", g, tuple(f"s{i}" for i in range(6)))
-        write_csv_matrix(tmp_path / "y.csv", y[:, None], ("y",))
+        write_csv(tmp_path / "g.csv", g, tuple(f"s{i}" for i in range(6)))
+        write_csv(tmp_path / "y.csv", y[:, None], ("y",))
 
         def run(workers):
             out_dir = tmp_path / f"w{workers}"
@@ -495,7 +501,7 @@ class TestAnalyzeCommand:
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
         x_path, y_path, x, _ = make_analysis_files(tmp_path)
         x[:, 1] = x[:, 2] = x[:, 0]  # pairs (0, 1), (0, 2), (1, 2) are handed back
-        write_csv_matrix(x_path, x, tuple(f"v{i}" for i in range(x.shape[1])))
+        write_csv(x_path, x, tuple(f"v{i}" for i in range(x.shape[1])))
 
         class InProcessContext:
             """A fork context whose Pool records its size and maps in this process."""
@@ -551,9 +557,9 @@ class TestAnalyzeCommand:
         x = rng.standard_normal((50, 4))
         adj = rng.standard_normal((50, 2))
         y = x[:, 0] + x[:, 1] + x[:, 0] * x[:, 1] + adj[:, 0] + rng.standard_normal(50)
-        write_csv_matrix(tmp_path / "x.csv", x, ("a", "b", "c", "d"))
-        write_csv_matrix(tmp_path / "y.csv", y[:, None], ("y",))
-        write_csv_matrix(tmp_path / "adj.csv", adj, ("pc1", "pc2"))
+        write_csv(tmp_path / "x.csv", x, ("a", "b", "c", "d"))
+        write_csv(tmp_path / "y.csv", y[:, None], ("y",))
+        write_csv(tmp_path / "adj.csv", adj, ("pc1", "pc2"))
         base = [
             "analyze",
             "--x", str(tmp_path / "x.csv"),
@@ -577,9 +583,9 @@ class TestAnalyzeCommand:
     def test_too_wide_adjust_fails_before_any_fit(self, tmp_path, capsys, monkeypatch):
         # n = 6 rows cannot fit the 4 + 2 columns of an adjusted stage-2 design
         rng = np.random.default_rng(15)
-        write_csv_matrix(tmp_path / "x.csv", rng.standard_normal((6, 3)), ("a", "b", "c"))
-        write_csv_matrix(tmp_path / "y.csv", rng.standard_normal((6, 1)), ("y",))
-        write_csv_matrix(tmp_path / "adj.csv", rng.standard_normal((6, 2)), ("pc1", "pc2"))
+        write_csv(tmp_path / "x.csv", rng.standard_normal((6, 3)), ("a", "b", "c"))
+        write_csv(tmp_path / "y.csv", rng.standard_normal((6, 1)), ("y",))
+        write_csv(tmp_path / "adj.csv", rng.standard_normal((6, 2)), ("pc1", "pc2"))
         real_fit, fits = pairscreen.pipeline.fit_glm, []
 
         def fit_glm(*args):
@@ -666,6 +672,8 @@ class TestAnalyzeCommand:
             {"alpha1": -0.1},
             {"workers": 0},
             {"alpha1": "inf"},
+            {"out": True},
+            {"x": False},
         ],
     )
     def test_bad_config_value_fails_before_loading(self, tmp_path, capsys, bad):
@@ -795,6 +803,8 @@ class TestSimulateCommand:
             {"beta0": "nan"},
             {"b": [True, 0.5]},
             {"alpha1": [False]},
+            {"out": True},
+            {"x": False},
         ],
     )
     def test_bad_config_value_fails_before_running(self, tmp_path, capsys, monkeypatch, bad):

@@ -742,6 +742,16 @@ class TestRunTwoStage:
         with pytest.raises(ValueError, match="alpha1"):
             run_two_stage(data, alpha1=math.nan, eta=0.1)
 
+    @pytest.mark.parametrize("eta", [math.nan, 0.0, 1.0, -0.1])
+    def test_bad_eta_rejected_before_any_fit(self, monkeypatch, eta):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stage 1 ran before eta was checked")
+
+        data = make_dataset(np.random.default_rng(16), n=60, p=6)
+        monkeypatch.setattr(pairscreen.pipeline, "stage1_screen", must_not_run)
+        with pytest.raises(ValueError, match="eta must be in"):
+            run_two_stage(data, alpha1=0.0, eta=eta)
+
     def test_workers_identical_report(self):
         rng = np.random.default_rng(14)
         data = make_dataset(rng, n=60, p=9)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import pairscreen.pipeline
+import pairscreen.simulate
 from pairscreen import (
     GAUSSIAN,
     SimConfig,
@@ -225,17 +226,24 @@ class TestGenPairResponse:
         assert y.shape == (j.size, cfg.n)
         for row, a, b in zip(y, j.tolist(), k.tolist()):
             assert row.tobytes() == one_pair_response(x, truth, cfg, a, b).tobytes()
-        single = gen_pair_response(x, truth, cfg, int(j[0]), int(k[0]))
-        assert single.shape == (cfg.n,) and single.tobytes() == y[0].tobytes()
+        single = gen_pair_response(x, truth, cfg, j[:1], k[:1])
+        assert single.shape == (1, cfg.n) and single.tobytes() == y[0].tobytes()
 
     @pytest.mark.parametrize(
-        "j, k", [(-1, 3), (2, 10), (4, 4), (5, 2), ([0, -1], [1, 2]), ([0, 1], [9, 10])]
+        "j, k",
+        [(-1, 3), (2, 10), (4, 4), (5, 2), ([0, -1], [1, 2]), ([0, 1], [9, 10]), ([4], [4]),
+         ([0, 5], [1, 2])],
     )
     def test_pairs_outside_the_upper_triangle_are_rejected(self, j, k):
         cfg = base_config(misspecified=True)
         truth, x = gen_truth(cfg), gen_design(cfg)
         with pytest.raises(ValueError, match="0 <= j < k < p"):
             gen_pair_response(x, truth, cfg, j, k)
+
+    def test_scalar_indices_are_rejected(self):
+        cfg = base_config()
+        with pytest.raises(ValueError, match="index vectors"):
+            gen_pair_response(gen_design(cfg), gen_truth(cfg), cfg, 0, 1)
 
 
 class TestRunReplicates:
@@ -306,7 +314,7 @@ class TestRunReplicates:
         t = {}
         for j in range(cfg.p):
             for k in range(j + 1, cfg.p):
-                y = gen_pair_response(x, truth, cfg, j, k)
+                (y,) = gen_pair_response(x, truth, cfg, np.array([j]), np.array([k]))
                 design = build_stage2_design(x[:, j], x[:, k])
                 t[(j, k)] = pairscreen.pipeline._fit_outcome(design, y, GAUSSIAN, 3)[0]
         j, k = max(t, key=lambda pair: abs(t[pair]))
@@ -336,6 +344,21 @@ class TestRunReplicates:
         others = [abs(stat) for pair, stat in t.items() if pair != (j, k)]
         assert row.t_hat == fdr_cutoff(others, cfg.p * (cfg.p - 1) // 2, cfg.p, 0.1)
         assert row.rejections == sum(stat >= row.t_hat for stat in others)
+
+    @pytest.mark.parametrize(
+        "alpha1_list, eta",
+        [([0.1, 0.1], 0.1), ([0.0, 0.1], math.nan), ([0.0, 1.5], 1.5), ([0.1, -0.1], 0.1),
+         ([0.0, math.nan], 0.1), ([], 0.1)],
+    )
+    def test_bad_arguments_rejected_before_any_replicate(self, monkeypatch, alpha1_list, eta):
+        # a repeated alpha1 would give each of its cells twice the replicate rows
+        def must_not_run(config):
+            raise AssertionError("a replicate ran before the arguments were checked")
+
+        monkeypatch.setattr(pairscreen.simulate, "gen_truth", must_not_run)
+        cfg = SimConfig(n=60, p=8, family="gaussian", b=0.5, seed=1)
+        with pytest.raises(ValueError):
+            run_replicates(cfg, alpha1_list, eta, reps=2)
 
     def test_aggregate_accounting(self):
         cfg = base_config(n=120, p=8, b=0.9, seed=3)
