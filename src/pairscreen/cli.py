@@ -28,7 +28,7 @@ from pathlib import Path
 from .csvio import dominant_encode, format_number, load_csv_matrix
 from .errors import InvalidConfig, PairscreenError
 from .glm import family_from_name
-from .pipeline import Dataset, run_two_stage
+from .pipeline import Dataset, _eta_ok, run_two_stage
 from .report import rejected_csv_path, write_report
 from .simulate import MetricsRow, SimConfig, aggregate_rows, run_replicates
 
@@ -52,7 +52,7 @@ def _bounded(convert, ok, expected: str):
     return parse
 
 
-_eta = _bounded(float, lambda v: 0.0 < v < 1.0, "a number in (0, 1)")
+_eta = _bounded(float, _eta_ok, "a number in (0, 1)")
 _rate = _bounded(float, lambda v: math.isfinite(v) and v >= 0.0, "a finite number >= 0")
 _finite = _bounded(float, math.isfinite, "a finite number")
 _workers = _bounded(int, lambda v: v >= 1, "an integer >= 1")

@@ -15,7 +15,9 @@ weights (counts) fit a grouped design: a logistic model on 0/1 columns is
 saturated over its cells, so the fit on the cells weighted by their counts
 is the fit on the rows (the grouped-binomial likelihood).  The private
 ``_batched_wald`` fits a block of models on stacked arrays, replaying those
-rules, and hands back to ``fit_glm`` each fit it cannot settle.
+rules, and hands back to ``fit_glm`` each fit it cannot settle.  By concavity
+it takes a full Newton step s with score(beta + s) . s >= -_HALVING_SLACK / 2
+unevaluated, and gives the other steps fit_glm's log-likelihood test.
 """
 
 from __future__ import annotations
@@ -348,6 +350,10 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     halved step, leaves the |beta| box, misses the score contract or fails
     a residual or variance test, or has a Gram or Hessian eigenvalue ratio
     below _COND_TOL (far above _RANK_TOL) or residuals below _RESID_FLOOR.
+    A full Newton step s is taken when concavity certifies fit_glm's ll test:
+    ll(beta + s) - ll(beta) >= score(beta + s) . s >= -_HALVING_SLACK / 2,
+    half the least allowance fit_glm grants.  Only where that bound fails
+    (or is NaN) is ll computed, at beta and at beta + s, for fit_glm's test.
     """
     xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x r
     nb, d, r = xt.shape
@@ -355,9 +361,13 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     products = np.empty((nb, rows.size, r))  # products of design column pairs
     for i, (a, b) in enumerate(zip(rows, cols)):
         np.multiply(xt[:, a], xt[:, b], out=products[:, i])
-    w = np.ones((nb, r)) if weights is None else np.broadcast_to(weights, (nb, r)) * 1.0
+    w = None if weights is None else np.broadcast_to(weights, (nb, r)) * 1.0
     y = np.broadcast_to(np.asarray(y, dtype=float), (nb, r))
-    index, n, stats = np.arange(nb), w.sum(axis=1), np.full(nb, np.nan)
+    n = np.full(nb, float(r)) if w is None else w.sum(axis=1)
+    index, stats = np.arange(nb), np.full(nb, np.nan)
+
+    def weigh(v):  # v times the row counts (an unweighted block has none)
+        return v if w is None else w * v
 
     def moment(v):  # mean(v x x^T) per fit, from one stacked product
         flat = (products @ v[..., None])[..., 0] / n[:, None]
@@ -368,20 +378,20 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     def mean_x(v):  # mean(v x) per fit
         return (xt @ v[..., None])[..., 0] / n[:, None]
 
-    def loglik(theta):
-        y_theta = np.einsum("br,br->b", w * y, theta)
-        return (y_theta - np.einsum("br,br->b", w, family.cumulant(theta))) / n
+    def loglik(sel, theta):  # fit_glm's working log-likelihood of the fits ``sel``, at theta
+        v = y[sel] * theta - family.cumulant(theta)
+        return (v.sum(axis=1) if w is None else np.einsum("br,br->b", w[sel], v)) / n[sel]
 
     def settle(beta, mu):
         """Record the T of each fit with finite ``beta`` that passes the
         residual rules and wald_statistic's tests, from the sandwich at mu."""
         resid = y - mu
-        wr2 = w * resid**2
+        wr2 = weigh(resid**2)
         # residuals far below y lose their digits to cancellation in y - mu
-        ok = wr2.sum(axis=1) >= _RESID_FLOOR * (w * y**2).sum(axis=1)
+        ok = wr2.sum(axis=1) >= _RESID_FLOOR * weigh(y**2).sum(axis=1)
         if family is LOGISTIC:
             ok &= np.abs(resid).max(axis=1) >= _PERFECT_RESID
-        a_mat = moment(w * family.variance_from_mean(mu))
+        a_mat = moment(weigh(family.variance_from_mean(mu)))
         u, ok = _conditioned_solve(a_mat, np.broadcast_to(np.eye(d)[coef_index], beta.shape), ok)
         var = np.einsum("bi,bij,bj->b", u, moment(wr2), u)  # u = A^-1 e_k
         stat = np.sqrt(n) * beta[:, coef_index] / np.sqrt(var)
@@ -394,28 +404,31 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     # that one step.  A fit stops at the score target; one that fails a test
     # stops with beta = NaN, which hands it back.  Once half of the block has
     # stopped, the stopped fits are settled and dropped.
-    beta, theta, going = np.zeros((nb, d)), np.zeros((nb, r)), np.ones(nb, dtype=bool)
-    ll, mu = loglik(theta), family.mean(theta)
-    score = mean_x(w * (y - mu))
+    beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, r)))
+    score = mean_x(weigh(y - mu))
     for _ in range(_MAX_ITER):
         going &= np.abs(score).max(axis=1) > _SCORE_TARGET
         if 2 * np.count_nonzero(going) <= going.size:
             settle(np.where(going[:, None], np.nan, beta), mu)
-            block = (index, xt, products, y, w, n, beta, ll, mu, score, going)
-            index, xt, products, y, w, n, beta, ll, mu, score, going = (a[going] for a in block)
+            w = None if w is None else w[going]
+            block = (index, xt, products, y, n, beta, mu, score, going)
+            index, xt, products, y, n, beta, mu, score, going = (a[going] for a in block)
             if going.size == 0:
                 return stats
-        hess = moment(w * family.variance_from_mean(mu))
-        step, ok = _conditioned_solve(hess, score, going)
+        step, ok = _conditioned_solve(moment(weigh(family.variance_from_mean(mu))), score, going)
         cand = beta + step
-        theta = (cand[:, None, :] @ xt)[:, 0]
-        cand_ll = loglik(theta)
-        ok &= cand_ll >= ll - _HALVING_SLACK * (1.0 + np.abs(ll))
         if family is LOGISTIC:
             ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
-        beta = np.where(ok[:, None], cand, np.where(going[:, None], np.nan, beta))
-        ll, going = np.where(ok, cand_ll, ll), ok
-        mu = np.where(ok[:, None], family.mean(theta), mu)
-        score = np.where(ok[:, None], mean_x(w * (y - mu)), score)
+        theta = (cand[:, None, :] @ xt)[:, 0]
+        cand_mu = family.mean(theta)
+        cand_score = mean_x(weigh(y - cand_mu))
+        check = ok & ~(np.einsum("bi,bi->b", cand_score, step) >= -_HALVING_SLACK / 2)
+        if check.any():
+            ll = loglik(check, (beta[check, None, :] @ xt[check])[:, 0])
+            ok[check] = loglik(check, theta[check]) >= ll - _HALVING_SLACK * (1.0 + np.abs(ll))
+        if not ok.all():  # a fit without a step keeps beta, mu and score; a going one gets NaN
+            cand[~ok], cand_mu[~ok], cand_score[~ok] = beta[~ok], mu[~ok], score[~ok]
+            cand[going & ~ok] = np.nan
+        beta, mu, score, going = cand, cand_mu, cand_score, ok
     settle(np.where(np.abs(score).max(axis=1, keepdims=True) <= _SCORE_CONTRACT, beta, np.nan), mu)
     return stats

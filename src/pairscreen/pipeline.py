@@ -318,6 +318,15 @@ def stage2_tests(
     return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
 
 
+def _eta_ok(eta) -> bool:  # the range of a target FDR level; NaN is outside it
+    return 0.0 < eta < 1.0
+
+
+def _check_eta(eta) -> None:
+    if not _eta_ok(eta):
+        raise ValueError(f"eta must be in (0, 1), got {eta}")
+
+
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     """Exact infimum of the cutoff condition over t in [0, sqrt(2 log p)].
 
@@ -328,8 +337,7 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     M = 0 case, which has empty-rejection semantics).  A NaN statistic marks
     a failed fit: it counts in M and never in R(t).
     """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    _check_eta(eta)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     stats = np.abs(np.asarray(pair_stats, dtype=float))
@@ -387,8 +395,7 @@ def run_two_stage(
     ``alpha1 = 0`` is the BH special case (every fitted variable passes).
     """
     alpha = alpha_from_rate(alpha1, data.p)
-    if not 0.0 < eta < 1.0:  # fdr_cutoff checks it too, but only after every fit
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    _check_eta(eta)  # fdr_cutoff checks it too, but only after every fit
     screen = stage1_screen(data, alpha, adjust_in_stage1=adjust_in_stage1)
     pairs = stage2_tests(data, screen, workers=workers)
     p1, t_hat, rejected = _cutoff_and_reject(

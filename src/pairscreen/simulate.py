@@ -39,7 +39,8 @@ import numpy as np
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
 from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import Dataset, _cutoff_and_reject, _map_items, alpha_from_rate, stage2_tests
+from .pipeline import Dataset, _check_eta, _cutoff_and_reject, _map_items, alpha_from_rate
+from .pipeline import stage2_tests
 # the benchmark's trace hooks patch these names here
 from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
@@ -325,8 +326,7 @@ def run_replicates(
     alphas = {alpha1: alpha_from_rate(alpha1, config.p) for alpha1 in alpha1_list}
     if not alphas or len(alphas) < len(alpha1_list):  # a repeated alpha1 would merge its cells
         raise ValueError(f"alpha1_list must be nonempty and distinct, got {alpha1_list}")
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta must be in (0, 1), got {eta}")
+    _check_eta(eta)
     per_rep = _map_items(_run_one_replicate, (config, alphas, eta), range(reps), workers)
     return [row for rep_rows in per_rep for row in rep_rows]
 

@@ -688,6 +688,7 @@ class TestAnalyzeCommand:
             (["--family", "poisson"], "'poisson'"),
             (["--no-such-flag"], "--no-such-flag"),
             (["--alpha1", "inf"], "'inf'"),
+            (["--eta", "nan"], "'nan'"),
         ],
     )
     def test_bad_flag_fails_before_loading(self, tmp_path, capsys, bad, shown):

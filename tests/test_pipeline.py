@@ -553,6 +553,84 @@ class TestBatchedFits:
         assert fitted == [(2, 4)]
         assert fitted_and_skipped(result)[1] == [(2, 4, "SINGULAR_DESIGN")]
 
+    @staticmethod
+    def pair_designs(x):
+        """The B x n x 4 stage-2 designs of every pair of columns of ``x``."""
+        jj, kk = np.triu_indices(x.shape[1], 1)
+        return np.stack([build_stage2_design(x[:, j], x[:, k]).values for j, k in zip(jj, kk)])
+
+    @pytest.mark.parametrize("family", [LOGISTIC, GAUSSIAN])
+    def test_unweighted_block_gives_the_bits_of_unit_counts(self, family):
+        # an unweighted block has no count array; unit counts take the weighted arithmetic
+        data = make_dataset(np.random.default_rng(41), n=120, p=8, family=family)
+        design = self.pair_designs(data.x)
+        t = pairscreen.glm._batched_wald(design, data.y, family, 3)
+        ones = np.ones(design.shape[:2])
+        t_ones = pairscreen.glm._batched_wald(design, data.y, family, 3, ones)
+        assert np.isfinite(t).all() and np.array_equal(t.view(np.int64), t_ones.view(np.int64))
+
+    def test_steps_the_concavity_bound_misses_take_the_ll_test(self):
+        # with y near 1e6, score(beta + s) . s is rounding noise of either sign,
+        # so most steps fall back to fit_glm's ll test, which accepts them
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((100, 20)), 1e6 + 1e4 * rng.standard_normal(100)
+        tested = []  # the fits given the ll test, counted at beta and at beta + s
+
+        def cumulant(theta):
+            tested.append(theta.shape[0])
+            return GAUSSIAN.cumulant(theta)
+
+        family = dataclasses.replace(GAUSSIAN, cumulant=cumulant)
+        t = pairscreen.glm._batched_wald(self.pair_designs(x), y, family, 3)
+        assert sum(tested) // 2 > t.size // 2
+        jj, kk = np.triu_indices(x.shape[1], 1)
+        for got, (want, code) in zip(t.tolist(), self.full_fits(x, y, GAUSSIAN, None, jj, kk)):
+            assert not code and close_or_failed(got, want, code)
+
+    @staticmethod
+    def full_step_lowers_ll(X, y):
+        """Whether a full Newton step from beta = 0 onwards lowers the working
+        log-likelihood by more than 1e-6 before the score target, inside the
+        |beta| <= 30 box."""
+
+        def loglik(beta):
+            return np.mean(y * (X @ beta) - LOGISTIC.cumulant(X @ beta))
+
+        beta = np.zeros(X.shape[1])
+        for _ in range(100):
+            mu = LOGISTIC.mean(X @ beta)
+            score = X.T @ (y - mu) / y.size
+            if np.abs(score).max() <= 1e-10:
+                return False
+            cand = beta + np.linalg.solve((X.T * (mu * (1.0 - mu))) @ X / y.size, score)
+            if np.abs(cand).max() > 30.0:
+                return False
+            if loglik(cand) < loglik(beta) - 1e-6:
+                return True
+            beta = cand
+        return False
+
+    def test_a_full_step_that_lowers_ll_is_handed_back(self):
+        # seeded search: small n, one x_j row scaled up, y drawn at logit 4 x_j;
+        # such fits need a halved Newton step, which only fit_glm takes
+        found = []
+        for seed in range(600):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(8, 30))
+            x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
+            x[rng.integers(n), 0] *= rng.uniform(3.0, 15.0)
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-4.0 * x[:, 0]))).astype(float)
+            design = build_stage2_design(x[:, 0], x[:, 1])
+            t, code = pairscreen.pipeline._fit_outcome(design, y, LOGISTIC, 3)
+            if not code and self.full_step_lowers_ll(design.values, y):
+                found.append((x, y, t))
+        assert found
+        for x, y, t in found:
+            assert math.isnan(pairscreen.glm._batched_wald(self.pair_designs(x), y, LOGISTIC, 3)[0])
+            data = Dataset(x=x, y=y, family=LOGISTIC)
+            result = stage2_tests(data, ScreenResult(t_stats=np.zeros(2), passing=(0, 1)))
+            assert result.status.tolist() == [""] and result.t.tolist() == [t]
+
 
 class TestFdrCutoff:
     def test_hand_worked_example(self):
@@ -603,8 +681,8 @@ class TestFdrCutoff:
             fdr_cutoff([1.0, 2.0], 1, 10, 0.05)
 
     def test_eta_domain(self):
-        for bad in (0.0, 1.0, -0.2, 1.7):
-            with pytest.raises(ValueError):
+        for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
+            with pytest.raises(ValueError, match=r"eta must be in \(0, 1\), got"):
                 fdr_cutoff([1.0], 1, 10, bad)
 
     def test_matches_brute_force_oracle(self):

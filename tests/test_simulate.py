@@ -255,6 +255,15 @@ class TestRunReplicates:
         assert len(rows1) == 2
         assert rows1[0].fdp is not None
 
+    @pytest.mark.parametrize("eta", [math.nan, 0.0, 1.0])
+    def test_bad_eta_rejected_before_any_replicate(self, monkeypatch, eta):
+        def must_not_run(*args):
+            raise AssertionError("a replicate ran before eta was checked")
+
+        monkeypatch.setattr(pairscreen.simulate, "_run_one_replicate", must_not_run)
+        with pytest.raises(ValueError, match=r"eta must be in \(0, 1\), got"):
+            run_replicates(base_config(n=100, p=6, b=0.5), [0.0], eta=eta, reps=1)
+
     def test_replicate_seeds_increment(self):
         cfg = base_config(n=100, p=6, b=0.5)
         rows = run_replicates(cfg, [0.0], eta=0.1, reps=3)
