@@ -3,11 +3,15 @@
 Input matrices are UTF-8 comma-separated files, with or without a
 byte-order mark, with one header row and purely numeric cells; missing
 values and text that is not UTF-8 are a hard error (no imputation).
+``load_csv_matrix`` reads a file of one-digit cells (0/1/2 genotype codes)
+as bytes, other plain numbers with ``np.loadtxt`` and the rest cell by
+cell, the reader that also gives each error its line and column.
 ``format_number`` writes floats with ``repr``, exact under round-trip.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import warnings
@@ -47,14 +51,18 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
 
     Raises FileNotFoundError, EmptyInput for a file without data rows, and
     ParseError (with 1-based line/column) for ragged rows or non-numeric
-    cells, or (without them) for text that is not UTF-8.  The data rows are
-    parsed by ``np.loadtxt``; whatever it rejects or reads differently
-    (wrong width, no rows, a non-finite value) is read again cell by cell,
-    which gives the error with its line and column and accepts the few
-    cells ``float`` takes and ``loadtxt`` does not (quoted numbers, digit
-    separators).
+    cells, or (without them) for text that is not UTF-8.  A file of
+    one-digit cells is read as bytes (``_load_digits``); any other has its
+    data rows parsed by ``np.loadtxt``, and whatever that rejects or reads
+    differently (wrong width, no rows, a non-finite value) is read again
+    cell by cell, which gives the error with its line and column and
+    accepts the few cells ``float`` takes and ``loadtxt`` does not (quoted
+    numbers, digit separators).  All three give the same arrays and labels.
     """
     path = Path(path)
+    digits = _load_digits(path)
+    if digits is not None:
+        return digits
     with _open_text(path) as fh:
         header = next((row for row in csv.reader(fh) if row), None)
         data = None
@@ -70,6 +78,35 @@ def load_csv_matrix(path) -> tuple[np.ndarray, tuple[str, ...]]:
     if not np.isfinite(data).all():  # loadtxt reads inf and nan
         return _load_cell_by_cell(path)
     return data, tuple(label.strip() for label in header)
+
+
+def _load_digits(path: Path) -> tuple[np.ndarray, tuple[str, ...]] | None:
+    """``load_csv_matrix`` for a file of one-digit cells, else None, having
+    read no further than the first data row.  The header is UTF-8 with no
+    quote, carriage return or NUL (``csv.reader`` refuses NUL before Python
+    3.11), which ``csv.reader`` splits at every comma.  Each data row is
+    ``width`` digits, each followed by a comma, the last by a line feed.
+    """
+    with open(path, "rb") as fh:
+        head = fh.readline().removeprefix(codecs.BOM_UTF8).removesuffix(b"\n")
+        if not head or any(c in head for c in (b'"', b"\r", b"\0")):
+            return None
+        try:
+            labels = tuple(label.strip() for label in head.decode("utf-8").split(","))
+        except UnicodeDecodeError:
+            return None
+        first, width = fh.readline(), len(labels)
+        layout = b"," * (width - 1) + b"\n"
+        if len(first) != 2 * width or first[1::2] != layout or not first[::2].isdigit():
+            return None
+        body = np.frombuffer(first + fh.read(), dtype=np.uint8)
+    if body.size % (2 * width):
+        return None
+    cells = body.reshape(-1, 2 * width)
+    values = cells[:, 0::2] - ord("0")  # a byte below "0" wraps above 9
+    if not ((values <= 9).all() and (cells[:, 1::2] == np.frombuffer(layout, np.uint8)).all()):
+        return None
+    return values.astype(float), labels
 
 
 def _load_cell_by_cell(path: Path) -> tuple[np.ndarray, tuple[str, ...]]:

@@ -15,9 +15,11 @@ weights (counts) fit a grouped design: a logistic model on 0/1 columns is
 saturated over its cells, so the fit on the cells weighted by their counts
 is the fit on the rows (the grouped-binomial likelihood).  The private
 ``_batched_wald`` fits a block of models on stacked arrays, replaying those
-rules, and hands back to ``fit_glm`` each fit it cannot settle.  By concavity
-it takes a full Newton step s with score(beta + s) . s >= -_HALVING_SLACK / 2
-unevaluated, and gives the other steps fit_glm's log-likelihood test.
+rules, and hands back to ``fit_glm`` each fit it cannot settle.  Both fit
+paths take a logistic Newton step s unevaluated when concavity certifies the
+log-likelihood test: ll(beta + s) - ll(beta) >= score(beta + s) . s >=
+-_HALVING_SLACK / 2, half the least allowance the test grants.  Only where
+that bound fails (or is NaN) is ll computed, at beta and at beta + s.
 """
 
 from __future__ import annotations
@@ -240,39 +242,41 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
         fit_iters, converged = 0, True
     else:
         beta = np.zeros(d)
-        theta = X @ beta
-        ll = _working_loglik(family, theta, yv, wv, n)
-        mu = family.mean(theta)
-        resid = yv - mu
-        score = xt @ resid / n
+        mu = family.mean(X @ beta)
+        score = xt @ (yv - mu) / n
         fit_iters = 0
         while np.abs(score).max() > _SCORE_TARGET and fit_iters < _MAX_ITER:
             w = family.variance_from_mean(mu)
             li = _inverse_factor((xt * w) @ X / n)
             step = li.T @ (li @ score)
-            # Halve until the working log-likelihood does not decrease
-            # (allowing float-noise-level wiggle so steps near the optimum,
-            # where ll changes fall below machine precision, still land).
-            # After _MAX_HALVINGS rejected tries the next halving is taken as is.
-            noise = _HALVING_SLACK * (1.0 + abs(ll))
-            cand, scale = beta + step, 1.0
-            for halving in range(_MAX_HALVINGS + 1):
-                theta = X @ cand
-                cand_ll = _working_loglik(family, theta, yv, wv, n)
-                if cand_ll >= ll - noise or halving == _MAX_HALVINGS:
-                    break
-                scale *= 0.5
-                cand = beta + scale * step
-            beta, ll = cand, cand_ll
+            cand = beta + step
+            theta = X @ cand
+            mu = family.mean(theta)
+            cand_score = xt @ (yv - mu) / n
+            if not cand_score @ step >= -_HALVING_SLACK / 2:  # the concavity bound
+                # Halve until the working log-likelihood does not decrease
+                # (allowing float-noise-level wiggle so steps near the optimum,
+                # where ll changes fall below machine precision, still land).
+                # After _MAX_HALVINGS rejected tries the next halving is taken as is.
+                ll = _working_loglik(family, X @ beta, yv, wv, n)
+                noise, scale = _HALVING_SLACK * (1.0 + abs(ll)), 1.0
+                for _ in range(_MAX_HALVINGS):
+                    if _working_loglik(family, theta, yv, wv, n) >= ll - noise:
+                        break
+                    scale *= 0.5
+                    cand = beta + scale * step
+                    theta = X @ cand
+                if scale < 1.0:
+                    mu = family.mean(theta)
+                    cand_score = xt @ (yv - mu) / n
+            beta, score = cand, cand_score
             if np.abs(beta).max() > _SEPARATION_BOUND:
                 raise Separation(
                     f"|beta| exceeded {_SEPARATION_BOUND} during iteration "
                     "(fitted probabilities numerically 0/1)"
                 )
-            mu = family.mean(theta)
-            resid = yv - mu
-            score = xt @ resid / n
             fit_iters += 1
+        resid = yv - mu
         converged = bool(np.abs(score).max() <= _SCORE_CONTRACT)
         if converged and np.abs(resid).max() < _PERFECT_RESID:
             raise Separation("fit classifies every observation to within 1e-6")
@@ -350,10 +354,8 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     halved step, leaves the |beta| box, misses the score contract or fails
     a residual or variance test, or has a Gram or Hessian eigenvalue ratio
     below _COND_TOL (far above _RANK_TOL) or residuals below _RESID_FLOOR.
-    A full Newton step s is taken when concavity certifies fit_glm's ll test:
-    ll(beta + s) - ll(beta) >= score(beta + s) . s >= -_HALVING_SLACK / 2,
-    half the least allowance fit_glm grants.  Only where that bound fails
-    (or is NaN) is ll computed, at beta and at beta + s, for fit_glm's test.
+    A full step that the concavity bound does not certify gets fit_glm's ll
+    test, and one that fails it hands the fit back.
     """
     xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x r
     nb, d, r = xt.shape

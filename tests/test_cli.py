@@ -1,5 +1,6 @@
 """CSV ingestion, report serialization, and end-to-end CLI behavior."""
 
+import io
 import json
 import math
 import os
@@ -9,6 +10,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairscreen import (
     GAUSSIAN,
@@ -20,6 +23,7 @@ from pairscreen import (
     run_two_stage,
 )
 import pairscreen.pipeline
+from pairscreen import csvio
 from pairscreen.cli import main
 from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix
 from pairscreen.pipeline import _fit_outcome
@@ -137,6 +141,100 @@ class TestLoadCsv:
         back, labels = load_csv_matrix(f)
         assert labels == ("a", "b", "c", "d")
         assert np.array_equal(back, matrix)  # repr serialization is exact
+
+
+@st.composite
+def digit_files(draw):
+    """A header of padded labels, then rows of one-digit cells."""
+    rows, cols = draw(st.integers(1, 30)), draw(st.integers(1, 40))
+    labels = draw(st.lists(st.text(" aé_Z9", max_size=4), min_size=cols, max_size=cols))
+    row = st.text("0123456789", min_size=cols, max_size=cols)
+    digits = draw(st.lists(row, min_size=rows, max_size=rows))
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    lines = [",".join(labels), *(",".join(row) for row in digits)]
+    return (bom + "".join(line + "\n" for line in lines)).encode()
+
+
+def mutate(text, mutation, draw):
+    """``text`` with one change that each reader must treat alike."""
+    head, body = text.split(b"\n", 1)
+    cell = 2 * draw(st.integers(0, len(body) // 2 - 1))  # a digit's offset in the body
+    line = draw(st.sampled_from([i + 1 for i, c in enumerate(body) if c == ord("\n")]))
+    return {
+        "none": text,
+        "crlf": text.replace(b"\n", b"\r\n"),
+        "no-final-newline": text[:-1],
+        "blank-line": head + b"\n" + body[:line] + b"\n" + body[line:],
+        "two-digit-cell": head + b"\n" + body[:cell] + b"1" + body[cell:],
+        "letter": head + b"\n" + body[:cell] + b"x" + body[cell + 1 :],
+        "quoted-label": b'"a"' + text,
+        "quoted-label-with-comma": b'"a,b",' + text,
+        "header-only": head + b"\n",
+        "non-utf8-header": b"\xe9" + text,
+    }[mutation]
+
+
+class TestDigitReader:
+    @staticmethod
+    def read(reader, path):
+        """The reader's matrix bits and labels, or its error type and message."""
+        try:
+            matrix, labels = reader(path)
+        except (ParseError, EmptyInput) as exc:
+            return type(exc), str(exc)
+        return matrix.shape, matrix.tobytes(), labels
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        mutation=st.sampled_from(
+            ["none", "crlf", "no-final-newline", "blank-line", "two-digit-cell", "letter",
+             "quoted-label", "quoted-label-with-comma", "header-only", "non-utf8-header"]
+        ),
+    )
+    def test_same_result_as_cell_by_cell_reading(self, tmp_path_factory, data, mutation):
+        f = tmp_path_factory.mktemp("digits") / "g.csv"
+        f.write_bytes(mutate(data.draw(digit_files()), mutation, data.draw))
+        assert self.read(load_csv_matrix, f) == self.read(csvio._load_cell_by_cell, f)
+
+    def test_genotype_file_is_not_parsed_as_text(self, tmp_path, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("np.loadtxt called")
+
+        monkeypatch.setattr(np, "loadtxt", must_not_run)
+        f = tmp_path / "g.csv"
+        write_text(f, "a,b,c\n0,1,2\n2,2,0\n")
+        matrix, labels = load_csv_matrix(f)
+        assert matrix.tolist() == [[0.0, 1.0, 2.0], [2.0, 2.0, 0.0]] and labels == ("a", "b", "c")
+
+    def test_float_file_is_parsed_by_loadtxt(self, tmp_path, monkeypatch):
+        calls, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        f = tmp_path / "m.csv"
+        write_text(f, "a,b\n0.5,1\n2,3\n")
+        assert load_csv_matrix(f)[0].tolist() == [[0.5, 1.0], [2.0, 3.0]] and calls == [1]
+
+    def test_rejected_file_is_read_to_its_first_data_row(self, tmp_path, monkeypatch):
+        reads = []
+
+        class Recording(io.BufferedReader):
+            def readline(self, *args):
+                reads.append(super().readline(*args))
+                return reads[-1]
+
+            def read(self, *args):
+                reads.append(super().read(*args))
+                return reads[-1]
+
+        def recording_open(path, mode):
+            assert mode == "rb"
+            return Recording(io.FileIO(path))
+
+        monkeypatch.setattr(csvio, "open", recording_open, raising=False)
+        f = tmp_path / "m.csv"
+        f.write_bytes(b"a,b\n0.5,1\n" + b"1,2\n" * 1000)
+        assert csvio._load_digits(f) is None
+        assert reads == [b"a,b\n", b"0.5,1\n"]
 
 
 class TestFormatNumber:

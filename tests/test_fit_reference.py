@@ -182,6 +182,43 @@ def make_case(kind, family, q, tweak, seed):
     return design, y, None, coef_index
 
 
+def full_step_lowers_ll(X, y):
+    """Whether a full Newton step from beta = 0 onwards lowers the working
+    log-likelihood by more than 1e-6 before the score target, inside the
+    |beta| <= 30 box."""
+
+    def loglik(beta):
+        return np.mean(y * (X @ beta) - LOGISTIC.cumulant(X @ beta))
+
+    beta = np.zeros(X.shape[1])
+    for _ in range(100):
+        mu = LOGISTIC.mean(X @ beta)
+        score = X.T @ (y - mu) / y.size
+        if np.abs(score).max() <= 1e-10:
+            return False
+        cand = beta + np.linalg.solve((X.T * (mu * (1.0 - mu))) @ X / y.size, score)
+        if np.abs(cand).max() > 30.0:
+            return False
+        if loglik(cand) < loglik(beta) - 1e-6:
+            return True
+        beta = cand
+    return False
+
+
+def halving_fits():
+    """``(x, y)`` of the logistic stage-2 fits of a seeded search whose full
+    Newton step lowers the working log-likelihood inside the |beta| box:
+    small n, one x_j row scaled up, y drawn at logit 4 x_j."""
+    for seed in range(600):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 30))
+        x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
+        x[rng.integers(n), 0] *= rng.uniform(3.0, 15.0)
+        y = (rng.random(n) < 1.0 / (1.0 + np.exp(-4.0 * x[:, 0]))).astype(float)
+        if full_step_lowers_ll(build_stage2_design(x[:, 0], x[:, 1]).values, y):
+            yield x, y
+
+
 def relative_gap(got, want):
     return np.abs(got - want).max() / max(np.abs(want).max(), 1e-300)
 
@@ -224,6 +261,24 @@ def test_fit_glm_matches_the_reference_fit(kind, family, q, tweak, seed):
     assert relative_gap(got_fit.model_cov, want_fit.model_cov) <= tol
     if want_t is not None:
         assert abs(got_t - want_t) <= tol * max(1.0, abs(want_t))
+
+
+def test_a_step_the_concavity_bound_cannot_certify_is_halved():
+    # the bound fails on these steps, so fit_glm must take the ll test and
+    # halve as the reference does: a full step would change the Newton path
+    halved = 0
+    for x, y in halving_fits():
+        design = build_stage2_design(x[:, 0], x[:, 1])
+        want_code, want_fit, _ = outcome(reference_fit_glm, design, y, LOGISTIC, 3, None)
+        got_code, got_fit, _ = outcome(fit_glm, design, y, LOGISTIC, 3, None)
+        assert got_code == want_code and (got_fit is None) == (want_fit is None)
+        if want_fit is not None:
+            assert got_fit.iterations == want_fit.iterations
+            assert got_fit.converged == want_fit.converged
+            # the reference solves both triangles where fit_glm multiplies by L^-1
+            assert relative_gap(got_fit.beta_hat, want_fit.beta_hat) <= 1e-12
+            halved += 1
+    assert halved
 
 
 def test_a_cell_fit_factors_each_matrix_once_and_solves_nothing(monkeypatch):
