@@ -14,9 +14,10 @@ squared residuals, so it cancels from every Wald statistic.
 weights (counts) fit a grouped design: a logistic model on 0/1 columns is
 saturated over its cells, so the fit on the cells weighted by their counts
 is the fit on the rows (the grouped-binomial likelihood).  The private
-``_batched_wald`` fits a block of models on stacked arrays, replaying those
-rules, and hands back to ``fit_glm`` each fit it cannot settle.  Both fit
-paths take a logistic Newton step s unevaluated when concavity certifies the
+``_saturated_wald`` gives its T in closed form and ``_batched_wald`` fits a
+block of models on stacked arrays; both hand back each fit that only
+``fit_glm`` can settle.  ``fit_glm`` and ``_batched_wald`` take a
+logistic Newton step s unevaluated when concavity certifies the
 log-likelihood test: ll(beta + s) - ll(beta) >= score(beta + s) . s >=
 -_HALVING_SLACK / 2, half the least allowance the test grants.  Only where
 that bound fails (or is NaN) is ll computed, at beta and at beta + s.
@@ -328,6 +329,32 @@ def wald_statistic(fit: GlmFit, coef_index: int) -> float:
     return value
 
 
+@np.errstate(all="ignore")  # an empty count gives a non-finite bound: handed back
+def _saturated_wald(cells, cases, controls, coef_index: int) -> np.ndarray:
+    """T of coefficient ``coef_index`` of logistic fits saturated over their
+    cells, in closed form; NaN where fit_glm must decide.
+
+    Fit i is fit_glm's fit of one row per cell (C = ``cells``, invertible)
+    weighted by ``cases[i]`` with y = 1 and ``controls[i]`` with y = 0 (s, f).
+    Its MLE fits each cell's rate, C beta = theta = log(s / f), and a cell's
+    squared residuals sum to its variance sum s f / (s + f), so the sandwich
+    is A^-1 = n C^-1 diag(1/s + 1/f) C^-T: T = beta_k / sqrt(sum_c (C^-1_kc)^2
+    (1/s_c + 1/f_c)), for a stage-2 pair Woolf's log odds-ratio statistic.
+    Newton steps in beta are Newton steps per cell in theta, which go from 0
+    monotonically to log(s / f), so every fit_glm iterate has |beta_k| <=
+    sum_c |C^-1_kc theta_c|; a fit whose bound comes within 1 of
+    _SEPARATION_BOUND is handed back.  No other rule of fit_glm fires, as
+    every cell has a residual of at least 1/2.
+    """
+    # row sums, not matrix products: the bits of a fit do not depend on its block
+    inverse = np.linalg.inv(cells)
+    theta = np.log(cases / controls)
+    var = ((1.0 / cases + 1.0 / controls) * inverse[coef_index] ** 2).sum(axis=1)
+    t = (theta * inverse[coef_index]).sum(axis=1) / np.sqrt(var)
+    bound = (np.abs(theta[:, None, :]) * np.abs(inverse)).sum(axis=2).max(axis=1)
+    return np.where(bound <= _SEPARATION_BOUND - 1.0, t, np.nan)
+
+
 _COND_TOL = 1e-12  # least Gram or Hessian eigenvalue ratio the batched kernel settles
 _RESID_FLOOR = 1e-8  # least mean squared residual, over mean squared y, it settles
 
@@ -402,12 +429,17 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
         stats[index[ok]] = stat[ok]
 
     # Newton steps from beta = 0: the first Hessian is a multiple of the Gram
-    # matrix, so its test is the rank test, and a gaussian fit is done after
-    # that one step.  A fit stops at the score target; one that fails a test
-    # stops with beta = NaN, which hands it back.  Once half of the block has
+    # matrix, so its test is the rank test.  A gaussian fit is settled after
+    # that one exact step, as fit_glm's is: no score target, no ll test.  A
+    # logistic fit stops at the score target; one that fails a test stops
+    # with beta = NaN, which hands it back.  Once half of the block has
     # stopped, the stopped fits are settled and dropped.
     beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, r)))
     score = mean_x(weigh(y - mu))
+    if family is GAUSSIAN:
+        beta, ok = _conditioned_solve(moment(weigh(family.variance_from_mean(mu))), score, going)
+        settle(np.where(ok[:, None], beta, np.nan), (beta[:, None, :] @ xt)[:, 0])
+        return stats
     for _ in range(_MAX_ITER):
         going &= np.abs(score).max(axis=1) > _SCORE_TARGET
         if 2 * np.count_nonzero(going) <= going.size:
@@ -419,8 +451,7 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
                 return stats
         step, ok = _conditioned_solve(moment(weigh(family.variance_from_mean(mu))), score, going)
         cand = beta + step
-        if family is LOGISTIC:
-            ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
+        ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
         theta = (cand[:, None, :] @ xt)[:, 0]
         cand_mu = family.mean(theta)
         cand_score = mean_x(weigh(y - cand_mu))

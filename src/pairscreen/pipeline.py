@@ -15,9 +15,10 @@ the classical BH cutoff applied to all p(p-1)/2 pairs.
 ``stage2_tests`` is the only code that fits stage-2 pairs, for ``analyze``
 and ``simulate`` alike.  It splits the pairs into blocks of at most
 ``_BLOCK_ROWS`` design rows, and the worker pool maps runs of consecutive
-blocks, one run per worker.  Each block is one batched kernel call plus a
-full ``fit_glm`` fit for every pair the kernel hands back.  ``simulate``
-passes its per-pair responses through ``pair_response``.
+blocks, one run per worker.  Each block is one batched kernel call (for
+0/1 logistic pairs, one closed form) plus a full ``fit_glm`` fit for every
+pair handed back.  ``simulate`` passes its per-pair responses through
+``pair_response``.
 
 Boundary conventions:
 
@@ -42,6 +43,7 @@ from .glm import (
     LOGISTIC,
     Family,
     _batched_wald,
+    _saturated_wald,
     build_stage1_design,
     build_stage2_design,
     fit_glm,
@@ -250,12 +252,12 @@ def _fit_pairs(data: Dataset, idx, grams, pair_response, step: int, pairs) -> tu
 
     The batched kernel fits a block on one stage-2 design over the block's
     columns laid end to end (``adjust`` repeated per pair).  When ``grams``
-    holds the Gram matrices of 0/1 columns, each pair is fitted on 8 rows
-    instead: the cells (x_j, x_k) = 00, 10, 01, 11 with y = 1 and with
-    y = 0, weighted by their counts.  Counts and response sums of the (1, 1)
-    cells come from the Gram matrices (0/1 sums, exact in float64); the
-    other cells follow by subtraction.  Each pair the kernel does not settle
-    gets a full fit on its own design.
+    holds the Gram matrices of 0/1 columns, each pair's T comes in closed
+    form from its cells (x_j, x_k) = 00, 10, 01, 11 instead: their counts
+    of cases and controls.  Counts and response sums of the (1, 1) cells
+    come from the Gram matrices (0/1 sums, exact in float64); the other
+    cells follow by subtraction.  Each pair that is not settled so (one
+    with an empty or pure cell, say) gets a full fit on its own design.
     """
     jj_all, kk_all = pairs
     t, status = np.full(jj_all.size, np.nan), np.full(jj_all.size, "", dtype=object)
@@ -266,20 +268,16 @@ def _fit_pairs(data: Dataset, idx, grams, pair_response, step: int, pairs) -> tu
         if grams is None:
             adj = None if data.adjust is None else np.tile(data.adjust, (j.size, 1))
             design = build_stage2_design(data.x.T[j].ravel(), data.x.T[k].ravel(), adj).values
-            fits, fit_y, weights = design.reshape(j.size, data.n, -1), y, None
-            live = np.arange(j.size)
+            fits = design.reshape(j.size, data.n, -1)
+            t[lo : lo + j.size] = _batched_wald(fits, y, data.family, INTERACTION_INDEX)
         else:
-            cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2))
-            design, fit_y = np.concatenate([cells.values, cells.values]), np.repeat([1.0, 0.0], 4)
+            cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2)).values
             gram, y_gram = grams
             n11, na, nb = gram[jj, kk], gram[jj, jj], gram[kk, kk]
             s11, sa, sb = y_gram[jj, kk], y_gram[jj, jj], y_gram[kk, kk]
             counts = np.column_stack([data.n - na - nb + n11, na - n11, nb - n11, n11])
             sums = np.column_stack([data.y.sum() - sa - sb + s11, sa - s11, sb - s11, s11])
-            weights = np.hstack([sums, counts - sums])
-            live = np.flatnonzero((weights > 0.0).all(axis=1))  # no empty or pure cell
-            fits, weights = np.broadcast_to(design, (live.size, *design.shape)), weights[live]
-        t[lo + live] = _batched_wald(fits, fit_y, data.family, INTERACTION_INDEX, weights)
+            t[lo : lo + j.size] = _saturated_wald(cells, sums, counts - sums, INTERACTION_INDEX)
         for i in np.flatnonzero(np.isnan(t[lo : lo + step])).tolist():
             design = build_stage2_design(data.x[:, j[i]], data.x[:, k[i]], data.adjust)
             t[lo + i], status[lo + i] = _fit_outcome(design, y[i], data.family, INTERACTION_INDEX)
@@ -295,10 +293,10 @@ def stage2_tests(
     at most ``_BLOCK_ROWS`` design rows; the worker pool maps runs of whole
     blocks, one run per worker, and the result is identical for any worker
     count and block split.  A failed fit leaves T = NaN and its status code.
-    Logistic pairs of 0/1 columns without adjusters are fitted from their
-    cell counts, 8 rows a pair.  ``pair_response(j, k)``, if given, returns
-    one response row per pair of a block (B x n), used in place of
-    ``data.y``.
+    Logistic pairs of 0/1 columns without adjusters get the T of the exact
+    MLE in closed form from their 8 cell counts, within about 1e-8 of the
+    Newton fit.  ``pair_response(j, k)``, if given, returns one response row
+    per pair of a block (B x n), used in place of ``data.y``.
     """
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)

@@ -11,6 +11,12 @@ from .pipeline import Dataset, FdrReport
 
 __all__ = ["write_report"]
 
+# A "pairs" or "skipped" record as json.dump(indent=2) lays it out; %r of a
+# float is float.__repr__, the text json gives a finite float.
+_RECORD = '    {\n      "j": %d,\n      "k": %d,\n      "label_j": %s,\n      "label_k": %s,\n'
+_PAIR = _RECORD + '      "t_jk": %r,\n      "rejected": %s\n    }'
+_SKIPPED = _RECORD + '      "reason": %s\n    }'
+
 
 def rejected_csv_path(out_path) -> Path:
     """report.json -> report.rejected.csv alongside it."""
@@ -18,17 +24,29 @@ def rejected_csv_path(out_path) -> Path:
     return out.with_name(out.stem + ".rejected.csv")
 
 
-def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str) -> dict:
-    res = report.pairs
-    rows = zip(res.j.tolist(), res.k.tolist(), res.t.tolist(), res.status.tolist())
-    pairs, skipped = [], []
-    for (j, k, t, status), rejected in zip(rows, report.rejected.tolist()):
-        rec = {"j": j, "k": k, "label_j": data.label(j), "label_k": data.label(k)}
-        if status:
-            skipped.append({**rec, "reason": status})
-        else:
-            pairs.append({**rec, "t_jk": t, "rejected": rejected})
-    return {
+def _array(template: str, rows):
+    """The text of a JSON array of ``template % row`` records, in pieces."""
+    sep = "[\n"
+    for row in rows:
+        yield sep + template % row
+        sep = ",\n"
+    yield "[]" if sep == "[\n" else "\n  ]"
+
+
+def write_report(report: FdrReport, data: Dataset, out_path) -> Path:
+    """Write the JSON report and the rejected-pairs CSV; returns the CSV path.
+
+    The JSON is the text of ``json.dump(..., indent=2)`` of the report: the
+    pair records are streamed from a template.  The CSV lists rejected pairs
+    sorted by |T_jk| descending.  Floats are serialized with shortest
+    round-trip representations, exact for 64-bit values.
+    """
+    out = Path(out_path)
+    csv_path = rejected_csv_path(out)
+    res, rej, encode = report.pairs, report.rejected, json.encoder.encode_basestring_ascii
+    labels = [encode(data.label(j)) for j in range(data.p)]
+    fitted = res.status == ""
+    head = {
         "tool": "pairscreen",
         "command": "analyze",
         "family": data.family.name,
@@ -44,28 +62,23 @@ def report_to_dict(report: FdrReport, data: Dataset, rejected_csv: str) -> dict:
         "m_tested": report.m_tested,
         "omega": report.omega,
         "rejections": report.rejections,
-        "skipped_count": len(skipped),
+        "skipped_count": int(fitted.size - fitted.sum()),
         "stage1_failed": {str(j): code for j, code in sorted(report.stage1_failed.items())},
-        "pairs": pairs,
-        "skipped": skipped,
-        "rejected_csv": rejected_csv,
     }
-
-
-def write_report(report: FdrReport, data: Dataset, out_path) -> Path:
-    """Write the JSON report and the rejected-pairs CSV; returns the CSV path.
-
-    The CSV lists rejected pairs sorted by |T_jk| descending.  Floats are
-    serialized with shortest round-trip representations, exact for 64-bit
-    values.
-    """
-    out = Path(out_path)
-    csv_path = rejected_csv_path(out)
-    doc = report_to_dict(report, data, rejected_csv=csv_path.name)
+    pairs = (
+        (j, k, labels[j], labels[k], t, "true" if hit else "false")
+        for j, k, t, hit in zip(*(a[fitted].tolist() for a in (res.j, res.k, res.t, rej)))
+    )
+    skipped = (
+        (j, k, labels[j], labels[k], encode(code))
+        for j, k, code in zip(*(a[~fitted].tolist() for a in (res.j, res.k, res.status)))
+    )
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-    res, rej = report.pairs, report.rejected
+        fh.write(json.dumps(head, indent=2)[: -len("\n}")] + ',\n  "pairs": ')
+        fh.writelines(_array(_PAIR, pairs))
+        fh.write(',\n  "skipped": ')
+        fh.writelines(_array(_SKIPPED, skipped))
+        fh.write(',\n  "rejected_csv": %s\n}\n' % encode(csv_path.name))
     ranked = sorted(
         zip(res.j[rej].tolist(), res.k[rej].tolist(), res.t[rej].tolist()),
         key=lambda rec: (-abs(rec[2]), rec[0], rec[1]),

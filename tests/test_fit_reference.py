@@ -205,18 +205,24 @@ def full_step_lowers_ll(X, y):
     return False
 
 
-def halving_fits():
-    """``(x, y)`` of the logistic stage-2 fits of a seeded search whose full
-    Newton step lowers the working log-likelihood inside the |beta| box:
-    small n, one x_j row scaled up, y drawn at logit 4 x_j."""
-    for seed in range(600):
+def seeded_fits(predicate, seeds: int):
+    """``(x, y)`` of the logistic stage-2 fits of a seeded search that meet
+    ``predicate(X, y)``: small n, one x_j row scaled up, y drawn at logit
+    4 x_j."""
+    for seed in range(seeds):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 30))
         x = np.column_stack([rng.standard_normal(n), rng.standard_normal(n)])
         x[rng.integers(n), 0] *= rng.uniform(3.0, 15.0)
         y = (rng.random(n) < 1.0 / (1.0 + np.exp(-4.0 * x[:, 0]))).astype(float)
-        if full_step_lowers_ll(build_stage2_design(x[:, 0], x[:, 1]).values, y):
+        if predicate(build_stage2_design(x[:, 0], x[:, 1]).values, y):
             yield x, y
+
+
+def halving_fits():
+    """The seeded fits whose full Newton step lowers the working
+    log-likelihood inside the |beta| box."""
+    return seeded_fits(full_step_lowers_ll, 600)
 
 
 def relative_gap(got, want):

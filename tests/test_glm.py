@@ -1,13 +1,16 @@
 """Working-GLM tests: builders, fits, sandwich covariance, Wald statistics.
 
 Oracles used here: hand normal-equations arithmetic, brute-force grid
-maximization of the working log-likelihood, and central finite differences
-of the log-likelihood for the score.
+maximization of the working log-likelihood, central finite differences
+of the log-likelihood for the score, and Woolf's log odds-ratio statistic
+in 40-digit arithmetic for saturated 2 x 2 x 2 cell fits.
 """
 
 import math
 import pickle
+from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,7 +28,8 @@ from pairscreen import (
     fit_glm,
     wald_statistic,
 )
-from pairscreen.glm import DesignMatrix, GlmFit, family_from_name
+import pairscreen.glm
+from pairscreen.glm import DesignMatrix, GlmFit, _saturated_wald, family_from_name
 from pairscreen.pipeline import _fit_outcome
 
 
@@ -345,6 +349,76 @@ class TestWeightedFit:
         design, y = self.cells()
         with pytest.raises(ValueError, match="weights"):
             fit_glm(design, y, LOGISTIC, weights)
+
+
+STAGE2_CELLS = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2)).values
+
+
+def log_odds_ratio_oracle(cases, controls) -> float:
+    """Woolf's statistic of a 2 x 2 x 2 table in 40-digit arithmetic: the
+    log odds ratio over the square root of the sum of reciprocal counts,
+    cells in the order (x_j, x_k) = 00, 10, 01, 11."""
+    with mpmath.workdps(40):
+        s, f = [mpmath.mpf(int(c)) for c in cases], [mpmath.mpf(int(c)) for c in controls]
+        log_or = mpmath.log(s[0] * f[1] * f[2] * s[3] / (f[0] * s[1] * s[2] * f[3]))
+        return float(log_or / mpmath.sqrt(mpmath.fsum(1 / c for c in s + f)))
+
+
+class TestSaturatedWald:
+    """Stage-2 logistic pairs of 0/1 columns in closed form: a fit it
+    settles is one fit_glm fits, at the MLE."""
+
+    counts = st.one_of(
+        st.integers(1, 3),  # near-empty cells
+        st.sampled_from([1, 2, 10**7 - 1, 10**7]),  # with a small count: near-pure cells
+        st.integers(1, 100),
+        st.integers(1, 10**7),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cases=st.lists(counts, min_size=4, max_size=4),
+        controls=st.lists(counts, min_size=4, max_size=4),
+    )
+    def test_settled_fits_match_fit_glm_and_the_oracle(self, cases, controls):
+        table = np.array([cases, controls], dtype=float)
+        t = _saturated_wald(STAGE2_CELLS, table[:1], table[1:], 3)[0]
+        rows = DesignMatrix(np.concatenate([STAGE2_CELLS, STAGE2_CELLS]))
+        y, weights = np.repeat([1.0, 0.0], 4), np.array(cases + controls, dtype=float)
+        _, code = _fit_outcome(rows, y, LOGISTIC, 3, weights)
+        if math.isnan(t):  # handed back: fit_glm decides
+            return
+        assert code == ""
+        oracle = log_odds_ratio_oracle(cases, controls)
+        assert abs(t - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        # fit_glm's score target bounds the score averaged over n, so with
+        # counts near 1e7 it stops with a small cell's logit up to ~1e-3 short
+        # (T up to ~0.1); run past that target, it reaches the MLE.
+        with mock.patch.object(pairscreen.glm, "_SCORE_TARGET", 0.0):
+            full_t, full_code = _fit_outcome(rows, y, LOGISTIC, 3, weights)
+        assert full_code == ""
+        # ... up to its own rounding: its solves with the averaged Hessian A
+        # lose cond(A) ulps, and y - mu of a near-pure cell loses 1 / min(mu,
+        # 1 - mu) ulps (counts 1 to 1e7 put cond(A) near 1e8)
+        s, f = table
+        hessian = (STAGE2_CELLS.T * (s * f / (s + f))) @ STAGE2_CELLS / table.sum()
+        ulps = np.linalg.cond(hessian) + ((s + f) / np.minimum(s, f)).max()
+        assert abs(t - full_t) <= 16 * ulps * np.finfo(float).eps * max(1.0, abs(t))
+
+    @pytest.mark.parametrize("cell", range(8))
+    def test_an_empty_count_is_handed_back(self, cell):
+        counts = np.full((1, 8), 5.0)
+        counts[0, cell] = 0.0
+        assert math.isnan(_saturated_wald(STAGE2_CELLS, counts[:, :4], counts[:, 4:], 3)[0])
+
+    def test_a_table_past_the_box_is_handed_back(self):
+        # every cell's logit is log(1e7 / 2): the MLE's interaction coefficient
+        # is 0, but the bound on a Newton iterate's, 4 log(5e6) = 61.7, is past
+        # the |beta| box; at 4 log(500) = 24.9 it is inside
+        cases, controls = np.full((1, 4), 1e7), np.full((1, 4), 2.0)
+        assert math.isnan(_saturated_wald(STAGE2_CELLS, cases, controls, 3)[0])
+        t = _saturated_wald(STAGE2_CELLS, cases / 1e4, controls, 3)[0]
+        assert t == pytest.approx(0.0, abs=1e-12)
 
 
 class TestInvariants:

@@ -31,7 +31,8 @@ from pairscreen import (
     stage2_tests,
 )
 from pairscreen.pipeline import ScreenResult, alpha_from_rate
-from test_fit_reference import halving_fits
+from test_fit_reference import halving_fits, seeded_fits
+from test_glm import log_odds_ratio_oracle
 
 
 def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
@@ -324,7 +325,10 @@ def binary_logistic_data(draw):
 
 class TestCellCounts:
     """Stage-2 logistic fits on 0/1 columns run from cell counts; both
-    stages must agree with the fit on the full rows, item by item."""
+    stages must agree with the fit on the full rows, item by item.  A
+    stage-2 pair with every cell count positive (live) gets the closed-form
+    MLE, which the 40-digit oracle checks; fit_glm's Newton T stops at its
+    score target, up to about 1e-8 from the MLE."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=binary_logistic_data(), alpha=st.sampled_from([0.0, 0.5, 1.5]))
@@ -360,8 +364,16 @@ class TestCellCounts:
         fitted, skipped = fitted_and_skipped(result)
         assert skipped == expected_skipped
         assert [(j, k) for j, k, _ in fitted] == [(j, k) for j, k, _ in expected_pairs]
-        for (_, _, got), (_, _, want) in zip(fitted, expected_pairs):
-            assert abs(got - want) <= 1e-10
+        for (j, k, got), (_, _, want) in zip(fitted, expected_pairs):
+            cells = [(data.x[:, j] == a) & (data.x[:, k] == b) for b in (0, 1) for a in (0, 1)]
+            cases = [int(data.y[c].sum()) for c in cells]
+            controls = [int(c.sum()) - ones for c, ones in zip(cells, cases)]
+            if min(cases + controls) > 0:
+                oracle = log_odds_ratio_oracle(cases, controls)
+                assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+                assert abs(got - want) <= 1e-8
+            else:  # handed back to fit_glm
+                assert abs(got - want) <= 1e-10
 
     def test_stage1_fits_each_column_once_from_cells_or_rows(self, monkeypatch):
         rng = np.random.default_rng(33)
@@ -477,6 +489,30 @@ def close_or_failed(got, want, code):
     return abs(got - want) <= 1e-10 * max(1.0, abs(want))
 
 
+def full_step_past_the_maximum(X, y):
+    """Whether a full Newton step from beta = 0 onwards passes the maximum,
+    score(beta + s) . s < -5e-13, while no step before the score target
+    leaves the |beta| <= 30 box or lowers the working log-likelihood by
+    more than fit_glm's noise allowance."""
+
+    def loglik(beta):
+        return np.mean(y * (X @ beta) - LOGISTIC.cumulant(X @ beta))
+
+    beta, passed = np.zeros(X.shape[1]), False
+    for _ in range(100):
+        mu = LOGISTIC.mean(X @ beta)
+        score = X.T @ (y - mu) / y.size
+        if np.abs(score).max() <= 1e-10:
+            return passed
+        step = np.linalg.solve((X.T * (mu * (1.0 - mu))) @ X / y.size, score)
+        ll, cand = loglik(beta), beta + step
+        if np.abs(cand).max() > 30.0 or loglik(cand) < ll - 1e-12 * (1.0 + abs(ll)):
+            return False
+        passed |= X.T @ (y - LOGISTIC.mean(X @ cand)) / y.size @ step < -5e-13
+        beta = cand
+    return False
+
+
 class TestBatchedFits:
     """Stage-2 pairs are fitted in blocks by the batched kernel, which hands
     back what only fit_glm can decide; the outcomes must be those of
@@ -570,23 +606,44 @@ class TestBatchedFits:
         t_ones = pairscreen.glm._batched_wald(design, data.y, family, 3, ones)
         assert np.isfinite(t).all() and np.array_equal(t.view(np.int64), t_ones.view(np.int64))
 
-    def test_steps_the_concavity_bound_misses_take_the_ll_test(self):
-        # with y near 1e6, score(beta + s) . s is rounding noise of either sign,
-        # so most steps fall back to fit_glm's ll test, which accepts them
-        rng = np.random.default_rng(0)
-        x, y = rng.standard_normal((100, 20)), 1e6 + 1e4 * rng.standard_normal(100)
+    def test_steps_the_concavity_bound_misses_take_the_ll_test(self, monkeypatch):
         tested = []  # the fits given the ll test, counted at beta and at beta + s
 
         def cumulant(theta):
             tested.append(theta.shape[0])
-            return GAUSSIAN.cumulant(theta)
+            return LOGISTIC.cumulant(theta)
 
-        family = dataclasses.replace(GAUSSIAN, cumulant=cumulant)
-        t = pairscreen.glm._batched_wald(self.pair_designs(x), y, family, 3)
-        assert sum(tested) // 2 > t.size // 2
-        jj, kk = np.triu_indices(x.shape[1], 1)
-        for got, (want, code) in zip(t.tolist(), self.full_fits(x, y, GAUSSIAN, None, jj, kk)):
-            assert not code and close_or_failed(got, want, code)
+        family = dataclasses.replace(LOGISTIC, cumulant=cumulant)
+        monkeypatch.setattr(pairscreen.glm, "LOGISTIC", family)  # the kernel's identity test
+        found = list(seeded_fits(full_step_past_the_maximum, 1000))
+        assert found
+        for x, y in found:
+            tested.clear()
+            t = pairscreen.glm._batched_wald(self.pair_designs(x), y, family, 3)
+            assert sum(tested) >= 2
+            [(want, code)] = self.full_fits(x, y, LOGISTIC, None, *np.triu_indices(2, 1))
+            assert not code and close_or_failed(t[0], want, code)
+
+    def test_a_gaussian_fit_is_settled_after_its_one_solve(self, monkeypatch):
+        # y near 1e10: the score after the exact solve is rounding noise far
+        # above the score target, which a gaussian fit does not have to meet
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal((100, 20)), 1e10 * (1.0 + 0.01 * rng.standard_normal(100))
+        data = Dataset(x=x, y=y, family=GAUSSIAN)
+        calls, real_fit = [], pairscreen.pipeline.fit_glm
+
+        def fit_glm(*args):
+            calls.append(args)
+            return real_fit(*args)
+
+        monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        result = stage2_tests(data, ScreenResult(t_stats=np.zeros(20), passing=tuple(range(20))))
+        assert calls == []  # no pair is handed back
+        expected = self.full_fits(x, y, GAUSSIAN, None, result.j, result.k)
+        want = np.array([t for t, _ in expected])
+        assert [code for _, code in expected] == [""] * 190
+        # the worst relative gap was 2.2e-12
+        assert (np.abs(result.t - want) <= 1e-9 * np.abs(want)).all()
 
     def test_a_full_step_that_lowers_ll_is_handed_back(self):
         # such fits need a halved Newton step, which only fit_glm takes
