@@ -187,18 +187,11 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     y, _ = load_csv_matrix(args.y)
     if y.shape[1] != 1:
         raise InvalidConfig(f"response file {args.y} must have exactly one column")
-    adjust = None
-    if args.adjust:
-        adjust, _ = load_csv_matrix(args.adjust)
+    adjust = load_csv_matrix(args.adjust)[0] if args.adjust else None
     if args.dominant:
         x = dominant_encode(x)
-    data = Dataset(
-        x=x,
-        y=y[:, 0],
-        family=family_from_name(args.family),
-        adjust=adjust,
-        labels=labels,
-    )
+    family = family_from_name(args.family)
+    data = Dataset(x=x, y=y[:, 0], family=family, adjust=adjust, labels=labels)
     report = run_two_stage(
         data,
         alpha1=args.alpha1,

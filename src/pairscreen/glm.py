@@ -10,17 +10,18 @@ gaussian with identity link and Bernoulli with logit link.  The gaussian
 dispersion never needs to be estimated because the B matrix uses raw
 squared residuals, so it cancels from every Wald statistic.
 
-``fit_glm`` fits one model and owns every failure rule.  Optional row
-weights (counts) fit a grouped design: a logistic model on 0/1 columns is
-saturated over its cells, so the fit on the cells weighted by their counts
-is the fit on the rows (the grouped-binomial likelihood).  The private
-``_saturated_wald`` gives its T in closed form and ``_batched_wald`` fits a
-block of models on stacked arrays; both hand back each fit that only
-``fit_glm`` can settle.  ``fit_glm`` and ``_batched_wald`` take a
-logistic Newton step s unevaluated when concavity certifies the
-log-likelihood test: ll(beta + s) - ll(beta) >= score(beta + s) . s >=
--_HALVING_SLACK / 2, half the least allowance the test grants.  Only where
-that bound fails (or is NaN) is ll computed, at beta and at beta + s.
+``fit_glm`` fits one model and owns every failure rule.  Only it takes
+row weights (counts), which fit a grouped design: a logistic model on 0/1
+columns is saturated over its cells, so the fit on the cells weighted by
+their counts is the fit on the rows (the grouped-binomial likelihood).  The
+private ``_saturated_wald`` gives such a T in closed form from the counts,
+and ``_batched_wald`` fits a block of models on unweighted rows as stacked
+arrays; both hand back each fit that only ``fit_glm`` can settle.
+``fit_glm`` and the kernel take a logistic Newton step s unevaluated when
+concavity certifies the log-likelihood test: ll(beta + s) - ll(beta) >=
+score(beta + s) . s >= -_HALVING_SLACK / 2, half the least allowance the
+test grants.  Only where that bound fails (or is NaN) is ll computed, at
+beta and at beta + s.
 """
 
 from __future__ import annotations
@@ -294,6 +295,7 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # inf B from |resid| > 1e154: DegenerateVariance
 def _sandwich_and_model_cov(X, xt, n, resid, w):
     """A^-1 B A^-1 and A^-1, with A = mean(w x x^T) for the variance weights
     ``w = b''(theta)`` and B = mean(resid^2 x x^T); ``xt`` is X.T with each
@@ -359,70 +361,62 @@ _COND_TOL = 1e-12  # least Gram or Hessian eigenvalue ratio the batched kernel s
 _RESID_FLOOR = 1e-8  # least mean squared residual, over mean squared y, it settles
 
 
-def _conditioned_solve(mat, rhs, ok):
-    """x[i] with mat[i] @ x[i] = rhs[i], and ``ok`` narrowed to the finite
-    symmetric mat[i] with an eigenvalue ratio above _COND_TOL; the identity
-    stands in for the others."""
+def _conditioned(mat, ok):
+    """``(mat, ok)``, ``ok`` narrowed to the finite symmetric mat[i] with an
+    eigenvalue ratio above _COND_TOL, the identity standing in for the rest."""
     eye = np.eye(mat.shape[-1])
     ok = ok & np.isfinite(mat).all(axis=(1, 2))
     eig = np.linalg.eigvalsh(np.where(ok[:, None, None], mat, eye))
     ok &= eig[:, 0] > _COND_TOL * eig[:, -1]
-    return np.linalg.solve(np.where(ok[:, None, None], mat, eye), rhs[..., None])[..., 0], ok
+    return np.where(ok[:, None, None], mat, eye), ok
 
 
 @np.errstate(all="ignore")  # a fit with non-finite values is handed back
-def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> np.ndarray:
+def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
     """Wald statistics of a block of working fits, replaying fit_glm's rules.
 
-    Fit i has the rows of ``design[i]`` (B x r x d), responses ``y`` (shared
-    or B x r) and optional row ``weights`` (positive counts, shaped like ``y``).
-    Returns the sqrt(n)-scaled T of coefficient ``coef_index`` per fit, n
-    its weight sum, or NaN where fit_glm must decide: a fit that needs a
-    halved step, leaves the |beta| box, misses the score contract or fails
-    a residual or variance test, or has a Gram or Hessian eigenvalue ratio
-    below _COND_TOL (far above _RANK_TOL) or residuals below _RESID_FLOOR.
-    A full step that the concavity bound does not certify gets fit_glm's ll
-    test, and one that fails it hands the fit back.
+    Fit i has the n unweighted rows of ``design[i]`` (B x n x d) and the
+    responses ``y`` (shared or B x n).  Returns the sqrt(n)-scaled T of
+    coefficient ``coef_index`` per fit, or NaN where fit_glm must decide: a
+    fit that needs a halved step, leaves the |beta| box, misses the score
+    contract or fails a residual or variance test, or has a Gram or Hessian
+    eigenvalue ratio below _COND_TOL (far above _RANK_TOL) or residuals
+    below _RESID_FLOOR.  A full step that the concavity bound does not
+    certify gets fit_glm's ll test, and one that fails it hands the fit back.
     """
-    xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x r
-    nb, d, r = xt.shape
+    xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x n
+    nb, d, n = xt.shape
     rows, cols = np.triu_indices(d)
-    products = np.empty((nb, rows.size, r))  # products of design column pairs
+    products = np.empty((nb, rows.size, n))  # products of design column pairs
     for i, (a, b) in enumerate(zip(rows, cols)):
         np.multiply(xt[:, a], xt[:, b], out=products[:, i])
-    w = None if weights is None else np.broadcast_to(weights, (nb, r)) * 1.0
-    y = np.broadcast_to(np.asarray(y, dtype=float), (nb, r))
-    n = np.full(nb, float(r)) if w is None else w.sum(axis=1)
+    y = np.broadcast_to(np.asarray(y, dtype=float), (nb, n))
     index, stats = np.arange(nb), np.full(nb, np.nan)
 
-    def weigh(v):  # v times the row counts (an unweighted block has none)
-        return v if w is None else w * v
-
     def moment(v):  # mean(v x x^T) per fit, from one stacked product
-        flat = (products @ v[..., None])[..., 0] / n[:, None]
+        flat = (products @ v[..., None])[..., 0] / n
         mat = np.empty((flat.shape[0], d, d))
         mat[:, rows, cols] = mat[:, cols, rows] = flat
         return mat
 
     def mean_x(v):  # mean(v x) per fit
-        return (xt @ v[..., None])[..., 0] / n[:, None]
+        return (xt @ v[..., None])[..., 0] / n
 
     def loglik(sel, theta):  # fit_glm's working log-likelihood of the fits ``sel``, at theta
-        v = y[sel] * theta - family.cumulant(theta)
-        return (v.sum(axis=1) if w is None else np.einsum("br,br->b", w[sel], v)) / n[sel]
+        return (y[sel] * theta - family.cumulant(theta)).sum(axis=1) / n
 
-    def settle(beta, mu):
+    def settle(beta, mu, a_mat, ok):
         """Record the T of each fit with finite ``beta`` that passes the
-        residual rules and wald_statistic's tests, from the sandwich at mu."""
+        residual rules and wald_statistic's tests, from the sandwich at mu;
+        ``a_mat`` and ``ok`` are the screened Hessians at mu."""
         resid = y - mu
-        wr2 = weigh(resid**2)
+        r2 = resid**2
         # residuals far below y lose their digits to cancellation in y - mu
-        ok = wr2.sum(axis=1) >= _RESID_FLOOR * weigh(y**2).sum(axis=1)
+        ok = ok & (r2.sum(axis=1) >= _RESID_FLOOR * (y**2).sum(axis=1))
         if family is LOGISTIC:
             ok &= np.abs(resid).max(axis=1) >= _PERFECT_RESID
-        a_mat = moment(weigh(family.variance_from_mean(mu)))
-        u, ok = _conditioned_solve(a_mat, np.broadcast_to(np.eye(d)[coef_index], beta.shape), ok)
-        var = np.einsum("bi,bij,bj->b", u, moment(wr2), u)  # u = A^-1 e_k
+        u = np.linalg.solve(a_mat, np.eye(d)[:, coef_index, None])[..., 0]  # A^-1 e_k
+        var = np.einsum("bi,bij,bj->b", u, moment(r2), u)
         stat = np.sqrt(n) * beta[:, coef_index] / np.sqrt(var)
         ok &= np.isfinite(var) & (var > 0.0) & np.isfinite(stat)
         ok &= var >= _PERFECT_VAR * u[:, coef_index]
@@ -432,29 +426,33 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
     # matrix, so its test is the rank test.  A gaussian fit is settled after
     # that one exact step, as fit_glm's is: no score target, no ll test.  A
     # logistic fit stops at the score target; one that fails a test stops
-    # with beta = NaN, which hands it back.  Once half of the block has
-    # stopped, the stopped fits are settled and dropped.
-    beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, r)))
-    score = mean_x(weigh(y - mu))
+    # with beta = NaN, which hands it back.  Each state's Hessian is formed
+    # and screened once: for the going fits, or for all once half of the
+    # block has stopped, when the stopped fits are settled on it and dropped.
+    beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, n)))
+    score, a_mat = mean_x(y - mu), moment(family.variance_from_mean(mu))
     if family is GAUSSIAN:
-        beta, ok = _conditioned_solve(moment(weigh(family.variance_from_mean(mu))), score, going)
-        settle(np.where(ok[:, None], beta, np.nan), (beta[:, None, :] @ xt)[:, 0])
+        a_mat, ok = _conditioned(a_mat, going)
+        beta = np.linalg.solve(a_mat, score[..., None])[..., 0]
+        settle(beta, (beta[:, None, :] @ xt)[:, 0], a_mat, ok)  # its Hessian at every beta
         return stats
     for _ in range(_MAX_ITER):
         going &= np.abs(score).max(axis=1) > _SCORE_TARGET
         if 2 * np.count_nonzero(going) <= going.size:
-            settle(np.where(going[:, None], np.nan, beta), mu)
-            w = None if w is None else w[going]
-            block = (index, xt, products, y, n, beta, mu, score, going)
-            index, xt, products, y, n, beta, mu, score, going = (a[going] for a in block)
+            a_mat, ok = _conditioned(a_mat, np.ones_like(going))
+            settle(np.where(going[:, None], np.nan, beta), mu, a_mat, ok)
+            block = (index, xt, products, y, beta, mu, score, a_mat, ok, going)
+            index, xt, products, y, beta, mu, score, a_mat, ok, going = (a[going] for a in block)
             if going.size == 0:
                 return stats
-        step, ok = _conditioned_solve(moment(weigh(family.variance_from_mean(mu))), score, going)
+        else:
+            a_mat, ok = _conditioned(a_mat, going)
+        step = np.linalg.solve(a_mat, score[..., None])[..., 0]
         cand = beta + step
         ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
         theta = (cand[:, None, :] @ xt)[:, 0]
         cand_mu = family.mean(theta)
-        cand_score = mean_x(weigh(y - cand_mu))
+        cand_score = mean_x(y - cand_mu)
         check = ok & ~(np.einsum("bi,bi->b", cand_score, step) >= -_HALVING_SLACK / 2)
         if check.any():
             ll = loglik(check, (beta[check, None, :] @ xt[check])[:, 0])
@@ -463,5 +461,8 @@ def _batched_wald(design, y, family: Family, coef_index: int, weights=None) -> n
             cand[~ok], cand_mu[~ok], cand_score[~ok] = beta[~ok], mu[~ok], score[~ok]
             cand[going & ~ok] = np.nan
         beta, mu, score, going = cand, cand_mu, cand_score, ok
-    settle(np.where(np.abs(score).max(axis=1, keepdims=True) <= _SCORE_CONTRACT, beta, np.nan), mu)
+        a_mat = moment(family.variance_from_mean(mu))
+    a_mat, ok = _conditioned(a_mat, np.ones_like(going))
+    converged = np.abs(score).max(axis=1, keepdims=True) <= _SCORE_CONTRACT
+    settle(np.where(converged, beta, np.nan), mu, a_mat, ok)
     return stats

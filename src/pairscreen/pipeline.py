@@ -298,6 +298,7 @@ def stage2_tests(
     Newton fit.  ``pair_response(j, k)``, if given, returns one response row
     per pair of a block (B x n), used in place of ``data.y``.
     """
+    _check_workers(workers)
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
     grams = None
@@ -323,6 +324,11 @@ def _eta_ok(eta) -> bool:  # the range of a target FDR level; NaN is outside it
 def _check_eta(eta) -> None:
     if not _eta_ok(eta):
         raise ValueError(f"eta must be in (0, 1), got {eta}")
+
+
+def _check_workers(workers) -> None:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
 
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
@@ -394,6 +400,7 @@ def run_two_stage(
     """
     alpha = alpha_from_rate(alpha1, data.p)
     _check_eta(eta)  # fdr_cutoff checks it too, but only after every fit
+    _check_workers(workers)
     screen = stage1_screen(data, alpha, adjust_in_stage1=adjust_in_stage1)
     pairs = stage2_tests(data, screen, workers=workers)
     p1, t_hat, rejected = _cutoff_and_reject(

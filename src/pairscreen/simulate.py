@@ -39,8 +39,8 @@ import numpy as np
 from .errors import PairscreenError
 from .glm import GAUSSIAN, family_from_name
 from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
-from .pipeline import Dataset, _check_eta, _cutoff_and_reject, _map_items, alpha_from_rate
-from .pipeline import stage2_tests
+from .pipeline import Dataset, _check_eta, _check_workers, _cutoff_and_reject, _map_items
+from .pipeline import alpha_from_rate, stage2_tests
 # the benchmark's trace hooks patch these names here
 from .glm import build_stage2_design, fit_glm, wald_statistic  # noqa: F401
 from .pipeline import fdr_cutoff, stage1_screen  # noqa: F401
@@ -281,9 +281,7 @@ def _run_one_replicate(config: SimConfig, alphas: dict, eta: float, rep: int) ->
         ]
 
     pairs = stage2_tests(
-        data,
-        screen,
-        pair_response=lambda j, k: gen_pair_response(design, truth, cfg, j, k),
+        data, screen, pair_response=lambda j, k: gen_pair_response(design, truth, cfg, j, k)
     )
     rows: list[MetricsRow] = []
     for alpha1, alpha in alphas.items():
@@ -327,6 +325,7 @@ def run_replicates(
     if not alphas or len(alphas) < len(alpha1_list):  # a repeated alpha1 would merge its cells
         raise ValueError(f"alpha1_list must be nonempty and distinct, got {alpha1_list}")
     _check_eta(eta)
+    _check_workers(workers)
     per_rep = _map_items(_run_one_replicate, (config, alphas, eta), range(reps), workers)
     return [row for rep_rows in per_rep for row in rep_rows]
 

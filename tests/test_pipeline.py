@@ -221,8 +221,9 @@ class TestStage2:
         assert skipped_keys.get((0, 1)) == "SINGULAR_DESIGN"
 
     def test_worker_count_does_not_change_results(self, monkeypatch):
-        # blocks of 1-3 pairs on the row and the cell path, each with a pair
-        # that the kernel hands back to a full fit
+        # blocks of 1-3 pairs on the gaussian and logistic row paths and the
+        # cell path, each with a pair that is handed back to a full fit: the
+        # logistic kernel settles and drops stopped fits mid-block
         rng = np.random.default_rng(7)
         x = make_dataset(rng, n=60, p=7).x
         x[:, 5] = x[:, 2]
@@ -232,11 +233,15 @@ class TestStage2:
         y[(g[:, 1] == 1.0) & (g[:, 3] == 1.0)] = 1.0
         assert TestCellCounts.pairs_with_a_pure_cell(g, y) == [(1, 3)]
         cells = Dataset(x=g, y=y, family=LOGISTIC)
-        for data, rows_per_pair in ((rows, rows.n), (cells, 8)):
+        x = rng.standard_normal((60, 7))
+        x[:, 5] = x[:, 2]
+        y = (rng.random(60) < LOGISTIC.mean(0.5 * x[:, 0] + x[:, 0] * x[:, 1])).astype(float)
+        logistic_rows = Dataset(x=x, y=y, family=LOGISTIC)
+        for data, rows_per_pair in ((rows, rows.n), (logistic_rows, logistic_rows.n), (cells, 8)):
             screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
             whole = stage2_tests(data, screen)
-            if data is rows:
-                assert (2, 5, "SINGULAR_DESIGN") in fitted_and_skipped(whole)[1]
+            if data is not cells:
+                assert fitted_and_skipped(whole)[1] == [(2, 5, "SINGULAR_DESIGN")]
             for pairs_per_block in (1, 2, 3):
                 block_rows = rows_per_pair * pairs_per_block
                 monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", block_rows)
@@ -449,7 +454,9 @@ class TestCellCounts:
 
 @st.composite
 def continuous_pair_data(draw):
-    """Continuous columns, some copied, constant, affine-dependent or huge;
+    """Continuous columns, some copied, nearly copied (an eigenvalue ratio of
+    the Gram below the kernel's 1e-12, a singular-value ratio above fit_glm's
+    1e-10), constant, affine-dependent or huge;
     logistic responses that may be nearly separated, or gaussian ones that
     may be an exact fit of one pair's design, at two scales; with or
     without adjusters."""
@@ -460,9 +467,12 @@ def continuous_pair_data(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal((n, p))
     for j in range(p):
-        kind = draw(st.sampled_from(["random", "random", "copy", "constant", "affine", "huge"]))
+        kinds = ["random", "random", "copy", "near", "constant", "affine", "huge"]
+        kind = draw(st.sampled_from(kinds))
         if j > 0 and kind == "copy":
             x[:, j] = x[:, j - 1]
+        elif j > 0 and kind == "near":
+            x[:, j] = x[:, j - 1] + 1e-7 * rng.standard_normal(n)
         elif kind == "constant":
             x[:, j] = 1.5
         elif j > 0 and kind == "affine":
@@ -595,16 +605,6 @@ class TestBatchedFits:
         """The B x n x 4 stage-2 designs of every pair of columns of ``x``."""
         jj, kk = np.triu_indices(x.shape[1], 1)
         return np.stack([build_stage2_design(x[:, j], x[:, k]).values for j, k in zip(jj, kk)])
-
-    @pytest.mark.parametrize("family", [LOGISTIC, GAUSSIAN])
-    def test_unweighted_block_gives_the_bits_of_unit_counts(self, family):
-        # an unweighted block has no count array; unit counts take the weighted arithmetic
-        data = make_dataset(np.random.default_rng(41), n=120, p=8, family=family)
-        design = self.pair_designs(data.x)
-        t = pairscreen.glm._batched_wald(design, data.y, family, 3)
-        ones = np.ones(design.shape[:2])
-        t_ones = pairscreen.glm._batched_wald(design, data.y, family, 3, ones)
-        assert np.isfinite(t).all() and np.array_equal(t.view(np.int64), t_ones.view(np.int64))
 
     def test_steps_the_concavity_bound_misses_take_the_ll_test(self, monkeypatch):
         tested = []  # the fits given the ll test, counted at beta and at beta + s
@@ -858,6 +858,20 @@ class TestRunTwoStage:
         monkeypatch.setattr(pairscreen.pipeline, "stage1_screen", must_not_run)
         with pytest.raises(ValueError, match="eta must be in"):
             run_two_stage(data, alpha1=0.0, eta=eta)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_workers_rejected_before_any_fit(self, monkeypatch, workers):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a fit ran before workers was checked")
+
+        data = make_dataset(np.random.default_rng(16), n=60, p=6)
+        for name in ("fit_glm", "_batched_wald"):
+            monkeypatch.setattr(pairscreen.pipeline, name, must_not_run)
+        screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+        with pytest.raises(ValueError, match="workers must be >= 1, got"):
+            stage2_tests(data, screen, workers=workers)
+        with pytest.raises(ValueError, match="workers must be >= 1, got"):
+            run_two_stage(data, alpha1=0.0, eta=0.1, workers=workers)
 
     def test_workers_identical_report(self):
         rng = np.random.default_rng(14)

@@ -264,6 +264,15 @@ class TestRunReplicates:
         with pytest.raises(ValueError, match=r"eta must be in \(0, 1\), got"):
             run_replicates(base_config(n=100, p=6, b=0.5), [0.0], eta=eta, reps=1)
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_bad_workers_rejected_before_any_replicate(self, monkeypatch, workers):
+        def must_not_run(*args):
+            raise AssertionError("a replicate ran before workers was checked")
+
+        monkeypatch.setattr(pairscreen.simulate, "_run_one_replicate", must_not_run)
+        with pytest.raises(ValueError, match="workers must be >= 1, got"):
+            run_replicates(base_config(n=100, p=6, b=0.5), [0.0], eta=0.1, reps=1, workers=workers)
+
     def test_replicate_seeds_increment(self):
         cfg = base_config(n=100, p=6, b=0.5)
         rows = run_replicates(cfg, [0.0], eta=0.1, reps=3)
