@@ -17,11 +17,12 @@ their counts is the fit on the rows (the grouped-binomial likelihood).  The
 private ``_saturated_wald`` gives such a T in closed form from the counts,
 and ``_batched_wald`` fits a block of models on unweighted rows as stacked
 arrays; both hand back each fit that only ``fit_glm`` can settle.
-``fit_glm`` and the kernel take a logistic Newton step s unevaluated when
-concavity certifies the log-likelihood test: ll(beta + s) - ll(beta) >=
+``fit_glm`` takes a logistic Newton step s unevaluated when concavity
+certifies its log-likelihood test: ll(beta + s) - ll(beta) >=
 score(beta + s) . s >= -_HALVING_SLACK / 2, half the least allowance the
-test grants.  Only where that bound fails (or is NaN) is ll computed, at
-beta and at beta + s.
+test grants; only where that bound fails (or is NaN) does it compute ll.
+The kernel settles only fits whose every step that bound certified, so
+the ll test, step halving and the convergence decision are fit_glm's alone.
 """
 
 from __future__ import annotations
@@ -373,16 +374,16 @@ def _conditioned(mat, ok):
 
 @np.errstate(all="ignore")  # a fit with non-finite values is handed back
 def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
-    """Wald statistics of a block of working fits, replaying fit_glm's rules.
+    """Wald statistics of a block of working fits, NaN for those it hands back.
 
     Fit i has the n unweighted rows of ``design[i]`` (B x n x d) and the
     responses ``y`` (shared or B x n).  Returns the sqrt(n)-scaled T of
-    coefficient ``coef_index`` per fit, or NaN where fit_glm must decide: a
-    fit that needs a halved step, leaves the |beta| box, misses the score
-    contract or fails a residual or variance test, or has a Gram or Hessian
-    eigenvalue ratio below _COND_TOL (far above _RANK_TOL) or residuals
-    below _RESID_FLOOR.  A full step that the concavity bound does not
-    certify gets fit_glm's ll test, and one that fails it hands the fit back.
+    coefficient ``coef_index`` per fit, or NaN where fit_glm must decide.  A
+    logistic fit is settled only if its every Newton step was a full step
+    that the concavity bound certified and it met _SCORE_TARGET within
+    _MAX_ITER steps.  A fit that leaves the |beta| box, fails a residual or
+    variance test, or has a Gram or Hessian eigenvalue ratio below _COND_TOL
+    (far above _RANK_TOL) or residuals below _RESID_FLOOR is handed back too.
     """
     xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x n
     nb, d, n = xt.shape
@@ -401,9 +402,6 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
 
     def mean_x(v):  # mean(v x) per fit
         return (xt @ v[..., None])[..., 0] / n
-
-    def loglik(sel, theta):  # fit_glm's working log-likelihood of the fits ``sel``, at theta
-        return (y[sel] * theta - family.cumulant(theta)).sum(axis=1) / n
 
     def settle(beta, mu, a_mat, ok):
         """Record the T of each fit with finite ``beta`` that passes the
@@ -424,11 +422,11 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
 
     # Newton steps from beta = 0: the first Hessian is a multiple of the Gram
     # matrix, so its test is the rank test.  A gaussian fit is settled after
-    # that one exact step, as fit_glm's is: no score target, no ll test.  A
-    # logistic fit stops at the score target; one that fails a test stops
-    # with beta = NaN, which hands it back.  Each state's Hessian is formed
-    # and screened once: for the going fits, or for all once half of the
-    # block has stopped, when the stopped fits are settled on it and dropped.
+    # that one exact step, as fit_glm's is.  A logistic fit stops at the
+    # score target, or with beta = NaN (handed back) once a test fails or
+    # _MAX_ITER steps have passed.  Each state's Hessian is formed and
+    # screened once: for the going fits, or for all once half of the block
+    # has stopped, when the stopped fits are settled on it and dropped.
     beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, n)))
     score, a_mat = mean_x(y - mu), moment(family.variance_from_mean(mu))
     if family is GAUSSIAN:
@@ -436,33 +434,25 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
         beta = np.linalg.solve(a_mat, score[..., None])[..., 0]
         settle(beta, (beta[:, None, :] @ xt)[:, 0], a_mat, ok)  # its Hessian at every beta
         return stats
-    for _ in range(_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         going &= np.abs(score).max(axis=1) > _SCORE_TARGET
-        if 2 * np.count_nonzero(going) <= going.size:
+        if 2 * np.count_nonzero(going) <= going.size or it == _MAX_ITER:
             a_mat, ok = _conditioned(a_mat, np.ones_like(going))
             settle(np.where(going[:, None], np.nan, beta), mu, a_mat, ok)
+            if it == _MAX_ITER or not going.any():
+                return stats
             block = (index, xt, products, y, beta, mu, score, a_mat, ok, going)
             index, xt, products, y, beta, mu, score, a_mat, ok, going = (a[going] for a in block)
-            if going.size == 0:
-                return stats
         else:
             a_mat, ok = _conditioned(a_mat, going)
         step = np.linalg.solve(a_mat, score[..., None])[..., 0]
         cand = beta + step
         ok &= np.abs(cand).max(axis=1) <= _SEPARATION_BOUND
-        theta = (cand[:, None, :] @ xt)[:, 0]
-        cand_mu = family.mean(theta)
+        cand_mu = family.mean((cand[:, None, :] @ xt)[:, 0])
         cand_score = mean_x(y - cand_mu)
-        check = ok & ~(np.einsum("bi,bi->b", cand_score, step) >= -_HALVING_SLACK / 2)
-        if check.any():
-            ll = loglik(check, (beta[check, None, :] @ xt[check])[:, 0])
-            ok[check] = loglik(check, theta[check]) >= ll - _HALVING_SLACK * (1.0 + np.abs(ll))
+        ok &= np.einsum("bi,bi->b", cand_score, step) >= -_HALVING_SLACK / 2  # concavity bound
         if not ok.all():  # a fit without a step keeps beta, mu and score; a going one gets NaN
             cand[~ok], cand_mu[~ok], cand_score[~ok] = beta[~ok], mu[~ok], score[~ok]
             cand[going & ~ok] = np.nan
         beta, mu, score, going = cand, cand_mu, cand_score, ok
         a_mat = moment(family.variance_from_mean(mu))
-    a_mat, ok = _conditioned(a_mat, np.ones_like(going))
-    converged = np.abs(score).max(axis=1, keepdims=True) <= _SCORE_CONTRACT
-    settle(np.where(converged, beta, np.nan), mu, a_mat, ok)
-    return stats

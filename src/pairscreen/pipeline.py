@@ -103,6 +103,10 @@ class Dataset:
             raise ValueError(f"need n > {d}, the columns of a stage-2 design, got n={n}")
         if self.labels is not None and len(self.labels) != p:
             raise ValueError("labels must match the number of columns")
+        try:  # the report writes them as UTF-8
+            "".join(self.labels or ()).encode("utf-8")
+        except (TypeError, UnicodeEncodeError):
+            raise ValueError("labels must be strings that encode as UTF-8") from None
 
     @property
     def n(self) -> int:

@@ -606,23 +606,55 @@ class TestBatchedFits:
         jj, kk = np.triu_indices(x.shape[1], 1)
         return np.stack([build_stage2_design(x[:, j], x[:, k]).values for j, k in zip(jj, kk)])
 
+    def assert_handed_back(self, x, y):
+        """The kernel gives the pair NaN, and stage2_tests gives it
+        _fit_outcome's (T, code) bit for bit, NaN too."""
+        assert math.isnan(pairscreen.glm._batched_wald(self.pair_designs(x), y, LOGISTIC, 3)[0])
+        design = build_stage2_design(x[:, 0], x[:, 1])
+        t, code = pairscreen.pipeline._fit_outcome(design, y, LOGISTIC, 3)
+        data = Dataset(x=x, y=y, family=LOGISTIC)
+        result = stage2_tests(data, ScreenResult(t_stats=np.zeros(2), passing=(0, 1)))
+        assert result.status.tolist() == [code]
+        assert result.t.tobytes() == np.float64(t).tobytes()
+
     def test_steps_the_concavity_bound_misses_take_the_ll_test(self, monkeypatch):
-        tested = []  # the fits given the ll test, counted at beta and at beta + s
+        # the kernel hands such fits back; fit_glm alone gives the step its ll test
+        tested, real_loglik = [], pairscreen.glm._working_loglik
 
-        def cumulant(theta):
-            tested.append(theta.shape[0])
-            return LOGISTIC.cumulant(theta)
+        def loglik(*args):
+            tested.append(args)
+            return real_loglik(*args)
 
-        family = dataclasses.replace(LOGISTIC, cumulant=cumulant)
-        monkeypatch.setattr(pairscreen.glm, "LOGISTIC", family)  # the kernel's identity test
+        monkeypatch.setattr(pairscreen.glm, "_working_loglik", loglik)
         found = list(seeded_fits(full_step_past_the_maximum, 1000))
         assert found
         for x, y in found:
             tested.clear()
-            t = pairscreen.glm._batched_wald(self.pair_designs(x), y, family, 3)
-            assert sum(tested) >= 2
-            [(want, code)] = self.full_fits(x, y, LOGISTIC, None, *np.triu_indices(2, 1))
-            assert not code and close_or_failed(t[0], want, code)
+            self.assert_handed_back(x, y)
+            assert len(tested) >= 4  # ll at beta and at beta + s, in stage2_tests and here
+
+    def test_a_full_step_that_lowers_ll_is_handed_back(self):
+        # such fits need a halved Newton step, which only fit_glm takes
+        found = list(halving_fits())
+        assert found
+        for x, y in found:
+            self.assert_handed_back(x, y)
+
+    @pytest.mark.parametrize("max_iter", [1, 2, 3, 4])
+    def test_fits_still_going_after_max_iter_are_handed_back(self, monkeypatch, max_iter):
+        # fit_glm decides between converged and NOT_CONVERGED, with its own
+        # Newton steps capped alike
+        monkeypatch.setattr(pairscreen.glm, "_MAX_ITER", max_iter)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((200, 8))
+        y = (rng.random(200) < 1.0 / (1.0 + np.exp(-2.0 * x[:, 0] * x[:, 1]))).astype(float)
+        data = Dataset(x=x, y=y, family=LOGISTIC)
+        result = stage2_tests(data, ScreenResult(t_stats=np.zeros(8), passing=tuple(range(8))))
+        expected = self.full_fits(x, y, LOGISTIC, None, result.j, result.k)
+        assert result.status.tolist() == [code for _, code in expected]
+        assert "NOT_CONVERGED" in result.status.tolist()  # 28, 26, 7, 1 of 28 at max_iter 1-4
+        for got, (want, code) in zip(result.t.tolist(), expected):
+            assert close_or_failed(got, want, code)
 
     def test_a_gaussian_fit_is_settled_after_its_one_solve(self, monkeypatch):
         # y near 1e10: the score after the exact solve is rounding noise far
@@ -644,21 +676,6 @@ class TestBatchedFits:
         assert [code for _, code in expected] == [""] * 190
         # the worst relative gap was 2.2e-12
         assert (np.abs(result.t - want) <= 1e-9 * np.abs(want)).all()
-
-    def test_a_full_step_that_lowers_ll_is_handed_back(self):
-        # such fits need a halved Newton step, which only fit_glm takes
-        found = []
-        for x, y in halving_fits():
-            design = build_stage2_design(x[:, 0], x[:, 1])
-            t, code = pairscreen.pipeline._fit_outcome(design, y, LOGISTIC, 3)
-            if not code:
-                found.append((x, y, t))
-        assert found
-        for x, y, t in found:
-            assert math.isnan(pairscreen.glm._batched_wald(self.pair_designs(x), y, LOGISTIC, 3)[0])
-            data = Dataset(x=x, y=y, family=LOGISTIC)
-            result = stage2_tests(data, ScreenResult(t_stats=np.zeros(2), passing=(0, 1)))
-            assert result.status.tolist() == [""] and result.t.tolist() == [t]
 
 
 class TestFdrCutoff:

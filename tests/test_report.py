@@ -13,6 +13,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -77,7 +78,8 @@ def frozen_write_report(report, data, out_path):
 LABEL_CHARS = st.sampled_from(
     ['"', "\\", "/", " ", "é", "中", "\U0001f600", "\x00", "\x1f", "\t", "\u2028", "\u2029"]
 )
-LABELS = st.text(alphabet=st.one_of(LABEL_CHARS, st.characters()), max_size=6)
+# Dataset takes only labels that encode as UTF-8: no lone surrogates
+LABELS = st.text(alphabet=st.one_of(LABEL_CHARS, st.characters(codec="utf-8")), max_size=6)
 EDGE_T = [5e-324, 1.7976931348623157e308, -0.0, 1e16, 1e-7, -1.7976931348623157e308]
 T_VALUES = st.sampled_from(EDGE_T) | st.floats(allow_nan=False, allow_infinity=False)
 CODES = ["", "", "SINGULAR_DESIGN", "SEPARATION", "DEGENERATE_VARIANCE", "NOT_CONVERGED"]
@@ -129,3 +131,10 @@ def test_same_bytes_as_the_dict_writer(case, name):
         assert (got_dir / name).read_bytes() == (want_dir / name).read_bytes()
         assert got_csv.name == want_csv.name
         assert got_csv.read_bytes() == want_csv.read_bytes()
+
+
+@pytest.mark.parametrize("label", ["\ud800", 7, None, b"x"])
+def test_dataset_refuses_labels_the_report_cannot_write(label):
+    # a lone surrogate cannot be written as UTF-8, nor a non-str label as JSON text
+    with pytest.raises(ValueError, match="labels must be strings that encode as UTF-8"):
+        Dataset(x=np.zeros((6, 2)), y=np.zeros(6), family=GAUSSIAN, labels=("a", label))
