@@ -64,6 +64,7 @@ __all__ = [
 
 INTERACTION_INDEX = 3  # column of x_j * x_k in the stage-2 design
 _BLOCK_ROWS = 1 << 16  # design rows per block of batched stage-2 fits
+_JUMP_MARGIN = 1e-9  # how far short of G^-1(q) the cutoff search's jumps stop
 
 
 @dataclass(frozen=True)
@@ -166,11 +167,12 @@ class FdrReport:
 
 def alpha_from_rate(alpha1: float, p: int) -> float:
     """Stage-1 threshold alpha = sqrt(alpha1 * log p) (natural log)."""
-    if not 0.0 <= alpha1 < math.inf:
-        raise ValueError(f"alpha1 must be finite and >= 0, got {alpha1}")
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
-    return math.sqrt(alpha1 * math.log(p))
+    rate = alpha1 * math.log(p)  # log p > 0: rate >= 0 exactly when alpha1 >= 0
+    if not 0.0 <= rate < math.inf:  # NaN too; an infinite alpha would pass no variable
+        raise ValueError(f"need alpha1 >= 0 with alpha1 * log p finite, got alpha1={alpha1}, p={p}")
+    return math.sqrt(rate)
 
 
 def _fit_outcome(design, y, family: Family, coef_index: int, weights=None) -> tuple[float, str]:
@@ -340,10 +342,14 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
 
     ``R(t)`` is piecewise constant between order statistics of the absolute
     pair statistics, so each interval is solved in closed form through the
-    tail inverse; the first feasible interval yields the infimum.  Returns
-    sqrt(2 log p) when the condition is nowhere satisfied (including the
-    M = 0 case, which has empty-rejection semantics).  A NaN statistic marks
-    a failed fit: it counts in M and never in R(t).
+    tail inverse; the first feasible interval yields the infimum.  Levels q
+    only fall along the search, so past an infeasible interval it jumps to
+    the first one ending at or above ``G^-1(q) - _JUMP_MARGIN``: a margin far
+    above the inverse's error (1.25e-12 in t), which keeps G at a skipped end
+    8e-10 relative above q, far above erfc rounding.  Returns sqrt(2 log p)
+    when the condition is nowhere satisfied (including the M = 0 case, which
+    has empty-rejection semantics).  A NaN statistic marks a failed fit: it
+    counts in M and never in R(t).
     """
     _check_eta(eta)
     if p < 2:
@@ -351,25 +357,27 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     stats = np.abs(np.asarray(pair_stats, dtype=float))
     if m_tested < stats.size:
         raise ValueError(f"m_tested={m_tested} smaller than the number of statistics {stats.size}")
-    stats = stats[~np.isnan(stats)]
+    ranked = np.sort(stats[~np.isnan(stats)])
     t_max = math.sqrt(2.0 * math.log(p))
     if m_tested == 0:
         return t_max
     # t = 0 candidate: G(0) = 1 and R(0) counts every statistic.
-    if m_tested <= eta * max(stats.size, 1):
+    if m_tested <= eta * max(ranked.size, 1):
         return 0.0
-    interior = np.unique(stats)
-    interior = interior[(interior > 0.0) & (interior < t_max)]
+    interior = ranked[(ranked > 0.0) & (ranked < t_max)]
+    interior = interior[np.diff(interior, prepend=0.0) > 0.0]  # distinct values
     lowers = np.concatenate(([0.0], interior))
     uppers = np.concatenate((interior, [t_max]))
-    above = stats.size - np.searchsorted(np.sort(stats), lowers, side="right")  # |T| > lo
-    for lo, hi, r in zip(lowers.tolist(), uppers.tolist(), above.tolist()):
-        q = eta * max(r, 1) / m_tested
+    above = ranked.size - np.searchsorted(ranked, lowers, side="right")  # |T| > lo
+    i = 0
+    while i < uppers.size:
+        lo, hi, q = float(lowers[i]), float(uppers[i]), eta * max(int(above[i]), 1) / m_tested
         if q >= 1.0:
-            return float(lo)
+            return lo
         if gauss_two_sided_tail(hi) <= q:
-            t_star = gauss_tail_inverse(q)
-            return float(max(lo, min(t_star, hi)))
+            return max(lo, min(gauss_tail_inverse(q), hi))
+        t_skip = gauss_tail_inverse(max(q, 1e-300)) - _JUMP_MARGIN  # 1e-300: its accuracy floor
+        i = max(i + 1, int(np.searchsorted(uppers, t_skip)))
     return t_max
 
 

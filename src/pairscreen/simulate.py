@@ -18,13 +18,13 @@ Responses follow the pairwise construction of the reference experiments:
 
 Randomness comes from Philox (counter-based, 64-bit) streams keyed by
 ``(seed, substream)``; normal variates use NumPy's ziggurat sampler.
-Replicate r of a run with base seed s uses seed s + r, and every pair
-response has its own substream, drawn a block of pairs at a time through one
-Philox re-keyed per pair; results do not depend on worker scheduling, on the
-block split or on the order in which pairs are evaluated.  Each replicate
-screens once, at the smallest alpha1, and its passing pairs are fitted by
-``pipeline.stage2_tests``, which asks ``gen_pair_response`` for the
-responses of one block at a time; every alpha1 then masks those fits.
+Replicate r of a run with base seed s uses seed s + r.  Each pair response
+has its own substream: one Philox, re-keyed per pair, fills the pair's row
+of a block's raw draws, which ``_draw_response`` maps to responses at once
+(as it does the screening response); results do not depend on the worker
+count, the block split or the pair order.  Each replicate screens once, at
+the smallest alpha1; ``pipeline.stage2_tests`` fits its passing pairs, asking
+``gen_pair_response`` for one block at a time, and every alpha1 masks those fits.
 Replicate outcomes and per-cell means are ``MetricsRow``s, one per line of
 the metrics CSV.
 """
@@ -37,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import PairscreenError
-from .glm import GAUSSIAN, family_from_name
+from .glm import GAUSSIAN, Family, family_from_name
 from .metrics import efficiency_omega, empirical_fdp, empirical_power, mean_and_se
 from .pipeline import Dataset, _check_eta, _check_workers, _cutoff_and_reject, _map_items
 from .pipeline import alpha_from_rate, stage2_tests
@@ -190,12 +190,16 @@ def gen_truth(config: SimConfig) -> SimTruth:
     )
 
 
-def _draw_response(theta: np.ndarray, config: SimConfig, rng: np.random.Generator) -> np.ndarray:
-    if family_from_name(config.family) is GAUSSIAN:
-        return theta + _NOISE_SD * rng.standard_normal(theta.size)
-    clipped = np.clip(theta, -_LOGIT_CLAMP, _LOGIT_CLAMP)
-    prob = 1.0 / (1.0 + np.exp(-clipped))
-    return (rng.random(theta.size) < prob).astype(float)
+def _draw_response(theta: np.ndarray, family: Family, rngs) -> np.ndarray:
+    """Responses for the rows of ``theta`` (B x n), row i drawn from the i-th of
+    ``rngs``: theta + sd * z for z ~ N(0, 1), or u < sigmoid(theta) for u ~ U[0, 1)."""
+    draw = np.random.Generator.standard_normal if family is GAUSSIAN else np.random.Generator.random
+    z = np.empty_like(theta)
+    for row, rng in zip(z, rngs):
+        draw(rng, out=row)
+    if family is GAUSSIAN:
+        return theta + _NOISE_SD * z
+    return (z < 1.0 / (1.0 + np.exp(-np.clip(theta, -_LOGIT_CLAMP, _LOGIT_CLAMP)))).astype(float)
 
 
 def gen_response(design: np.ndarray, truth: SimTruth, config: SimConfig) -> np.ndarray:
@@ -203,13 +207,14 @@ def gen_response(design: np.ndarray, truth: SimTruth, config: SimConfig) -> np.n
     theta = beta0 + X @ beta1 (gaussian noise or Bernoulli draw)."""
     rng = _stream(config.seed, _STREAM_RESPONSE)
     theta = config.intercept + design @ truth.beta1
-    return _draw_response(theta, config, rng)
+    return _draw_response(theta[None], family_from_name(config.family), [rng])[0]
 
 
 def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j, k) -> np.ndarray:
     """Responses from theta_jk, extras included, for the pairs ``(j[i], k[i])``
     of the index arrays j, k: one row per pair, each from its own substream
-    through one Philox re-keyed per pair, so a row does not depend on the block."""
+    through one Philox re-keyed per pair, so a row does not depend on the block;
+    the draws fill one B x n array, mapped to responses at once."""
     jj, kk = np.asarray(j), np.asarray(k)
     if jj.shape != kk.shape or jj.ndim != 1 or not ((0 <= jj) & (jj < kk) & (kk < config.p)).all():
         raise ValueError(f"pairs must be index vectors with 0 <= j < k < p = {config.p}")
@@ -225,12 +230,13 @@ def gen_pair_response(design: np.ndarray, truth: SimTruth, config: SimConfig, j,
     state = {"bit_generator": "Philox", "state": {"counter": zero, "key": key}, "buffer": zero,
              "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}  # counter 0, empty buffer
     rng = np.random.Generator(np.random.Philox(key=key))
-    y = np.empty_like(theta)
-    for i, tag in enumerate((_STREAM_PAIR_BASE + jj * config.p + kk).tolist()):
-        key[1] = tag & _SEED_MASK
-        rng.bit_generator.state = state  # the setter copies: a fresh stream per pair
-        y[i] = _draw_response(theta[i], config, rng)
-    return y
+
+    def rekeyed():
+        for tag in (_STREAM_PAIR_BASE + jj * config.p + kk).tolist():
+            key[1] = tag & _SEED_MASK
+            rng.bit_generator.state = state  # the setter copies: a fresh stream per pair
+            yield rng
+    return _draw_response(theta, family_from_name(config.family), rekeyed())
 
 
 @dataclass(frozen=True, kw_only=True)

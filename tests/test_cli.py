@@ -397,6 +397,25 @@ def test_bad_out_fails_before_any_work(tmp_path, capsys, monkeypatch, command, k
     assert err.startswith("error IO_ERROR: ") and str(out) in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "simulate"])
+def test_alpha1_whose_rate_overflows_is_invalid(tmp_path, capsys, monkeypatch, command):
+    # 1.7e308 * log 4 overflows: alpha would be inf, and the report would
+    # write "alpha": Infinity, which is not JSON
+    monkeypatch.setattr("pairscreen.pipeline.stage1_screen", must_not_run)
+    monkeypatch.setattr("pairscreen.simulate.stage1_screen", must_not_run)
+    if command == "analyze":
+        x_path, y_path, _, y = make_analysis_files(tmp_path, n=60, p=4)
+        write_csv(y_path, (y > np.median(y))[:, None], ("y",))
+        argv = ["analyze", "--x", str(x_path), "--y", str(y_path)]
+    else:
+        argv = ["simulate", "--n", "30", "--p", "4", "--b", "0.5", "--reps", "1", "--seed", "1"]
+    argv += ["--family", "logistic", "--alpha1", "1.7e308", "--eta", "0.1"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error INVALID_CONFIG: ") and "alpha1" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestAnalyzeCommand:
     def test_end_to_end_report(self, tmp_path):
         x_path, y_path, x, y = make_analysis_files(tmp_path)

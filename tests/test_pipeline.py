@@ -25,6 +25,7 @@ from pairscreen import (
     build_stage1_design,
     build_stage2_design,
     fdr_cutoff,
+    gauss_tail_inverse,
     gauss_two_sided_tail,
     run_two_stage,
     stage1_screen,
@@ -110,6 +111,31 @@ def cutoff_oracle(stats, m, p, eta, grid_points=10_000):
     return hi
 
 
+def scan_cutoff(stats, m, p, eta):
+    """The cutoff by the plain interval scan: G at the end of every interval
+    in order, up to the first feasible one.  ``fdr_cutoff`` skips intervals
+    but must return this float bit for bit."""
+    stats = np.abs(np.asarray(stats, dtype=float))
+    stats = stats[~np.isnan(stats)]
+    t_max = math.sqrt(2.0 * math.log(p))
+    if m == 0:
+        return t_max
+    if m <= eta * max(stats.size, 1):
+        return 0.0
+    interior = np.unique(stats)
+    interior = interior[(interior > 0.0) & (interior < t_max)]
+    lowers = np.concatenate(([0.0], interior))
+    uppers = np.concatenate((interior, [t_max]))
+    above = stats.size - np.searchsorted(np.sort(stats), lowers, side="right")
+    for lo, hi, r in zip(lowers.tolist(), uppers.tolist(), above.tolist()):
+        q = eta * max(r, 1) / m
+        if q >= 1.0:
+            return float(lo)
+        if gauss_two_sided_tail(hi) <= q:
+            return float(max(lo, min(gauss_tail_inverse(q), hi)))
+    return t_max
+
+
 def bh_reference(all_pair_stats, p, p1, eta):
     """Independent direct coding of the alpha = 0 cutoff display:
     t_hat = inf{ t in [0, sqrt(2 log p)] : G(t) * p1(p1-1)/2 / max(R(t), 1) <= eta }
@@ -143,6 +169,21 @@ class TestAlphaFromRate:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="alpha1"):
                 alpha_from_rate(bad, 100)
+
+    def test_rate_whose_product_overflows_rejected(self):
+        # 1.7e308 is finite, but 1.7e308 * log 4 is not: alpha would be inf
+        with pytest.raises(ValueError, match="alpha1"):
+            alpha_from_rate(1.7e308, 4)
+        assert alpha_from_rate(1.7e308, 2) == math.sqrt(1.7e308 * math.log(2))
+
+    def test_overflowing_rate_fails_before_any_fit(self, monkeypatch):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("stage 1 ran")
+
+        monkeypatch.setattr(pairscreen.pipeline, "stage1_screen", must_not_run)
+        data = make_dataset(np.random.default_rng(0), p=4)
+        with pytest.raises(ValueError, match="alpha1"):
+            run_two_stage(data, alpha1=1.7e308, eta=0.1)
 
 
 class TestStage1:
@@ -749,6 +790,49 @@ class TestFdrCutoff:
                 f"trial {trial}: exact {got} vs oracle {want} "
                 f"(p={p}, m={m}, eta={eta}, stats={stats!r})"
             )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        listed=st.lists(st.one_of(st.floats(-10.0, 10.0), st.just(math.inf)), max_size=40),
+        size=st.one_of(st.integers(0, 100), st.integers(1000, 5000)),
+        shift=st.sampled_from([0.0, 2.0, 4.0, 8.0]),
+        digits=st.sampled_from([None, 0, 1, 2]),
+        zeros=st.integers(0, 5),
+        nans=st.integers(0, 5),
+        extra=st.sampled_from([0, 1, 10, 1000, 10**6]),
+        p=st.integers(2, 10**6),
+        eta=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_jump_search_is_the_scan(
+        self, listed, size, shift, digits, zeros, nans, extra, p, eta, seed
+    ):
+        # ties (rounded draws), zeros, NaNs, values >= t_max, M >= size
+        rng = np.random.default_rng(seed)
+        drawn = np.abs(rng.standard_normal(size)) + shift * (rng.random(size) < 0.1)
+        stats = np.concatenate([listed, drawn, np.zeros(zeros), np.full(nans, math.nan)])
+        if digits is not None:
+            stats = np.round(stats, digits)
+        m = stats.size + extra
+        got, want = fdr_cutoff(stats, m, p, eta), scan_cutoff(stats, m, p, eta)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("shifted", [0, 500])
+    def test_search_evaluates_few_tails(self, monkeypatch, shifted):
+        # the plain scan evaluates G 4,400-5,000 times on these statistics
+        stats = np.abs(np.random.default_rng(0).standard_normal(5000))
+        stats[:shifted] += 4.0
+        calls, real_tail = [], pairscreen.pipeline.gauss_two_sided_tail
+
+        def gauss_two_sided_tail(t):
+            calls.append(t)
+            return real_tail(t)
+
+        monkeypatch.setattr(pairscreen.pipeline, "gauss_two_sided_tail", gauss_two_sided_tail)
+        t_hat = fdr_cutoff(stats, 5000, 100, 0.05)
+        assert len(calls) <= 20
+        monkeypatch.undo()
+        assert t_hat == scan_cutoff(stats, 5000, 100, 0.05)
 
     def test_range_invariant(self):
         rng = np.random.default_rng(77)
