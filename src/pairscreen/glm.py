@@ -60,7 +60,7 @@ _PERFECT_VAR = 1e-24  # least sandwich/model variance ratio of a Wald T
 class Family:
     """Canonical-link exponential-family pieces b, b', b''.
 
-    ``variance_from_mean`` gives b'' in terms of the mean; ``binary``
+    ``variance_from_mean`` gives b'' in terms of the mean; LOGISTIC
     restricts responses to {0, 1}.  The two instances GAUSSIAN and LOGISTIC
     are the only families, so code tests them by identity.
     """
@@ -70,10 +70,9 @@ class Family:
     cumulant: Callable[[np.ndarray], np.ndarray]
     mean: Callable[[np.ndarray], np.ndarray]
     variance_from_mean: Callable[[np.ndarray], np.ndarray]
-    binary: bool
 
     def validate_response(self, y: np.ndarray) -> None:
-        if self.binary and not ((y == 0.0) | (y == 1.0)).all():
+        if self is LOGISTIC and not ((y == 0.0) | (y == 1.0)).all():
             raise ValueError(f"{self.name} requires responses in {{0, 1}}")
 
     def __reduce__(self):
@@ -87,7 +86,6 @@ GAUSSIAN = Family(
     cumulant=lambda theta: 0.5 * theta * theta,
     mean=lambda theta: theta,
     variance_from_mean=np.ones_like,
-    binary=False,
 )
 LOGISTIC = Family(
     name="bernoulli_logit",
@@ -97,7 +95,6 @@ LOGISTIC = Family(
     # sigmoid(x) = (1 + tanh(x/2)) / 2: saturates cleanly at both ends
     mean=lambda theta: 0.5 * (1.0 + np.tanh(0.5 * theta)),
     variance_from_mean=lambda mu: mu * (1.0 - mu),
-    binary=True,
 )
 
 

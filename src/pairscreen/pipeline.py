@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 import multiprocessing
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -340,30 +341,30 @@ def _check_workers(workers) -> None:
 def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     """Exact infimum of the cutoff condition over t in [0, sqrt(2 log p)].
 
+    ``m_tested`` is M, an integer count of at least the number of statistics.
     ``R(t)`` is piecewise constant between order statistics of the absolute
     pair statistics, so each interval is solved in closed form through the
-    tail inverse; the first feasible interval yields the infimum.  Levels q
-    only fall along the search, so past an infeasible interval it jumps to
-    the first one ending at or above ``G^-1(q) - _JUMP_MARGIN``: a margin far
-    above the inverse's error (1.25e-12 in t), which keeps G at a skipped end
-    8e-10 relative above q, far above erfc rounding.  Returns sqrt(2 log p)
-    when the condition is nowhere satisfied (including the M = 0 case, which
-    has empty-rejection semantics).  A NaN statistic marks a failed fit: it
-    counts in M and never in R(t).
+    tail inverse; the first feasible interval yields the infimum.  Levels
+    q = eta * max(R, 1) / M <= eta only fall along the search, so past an
+    infeasible interval it jumps to the first one ending at or above
+    ``G^-1(q) - _JUMP_MARGIN``: a margin far above the inverse's error
+    (1.25e-12 in t), which keeps G at a skipped end 8e-10 relative above q,
+    far above erfc rounding.  Returns sqrt(2 log p) when the condition is
+    nowhere satisfied (including the M = 0 case, which has empty-rejection
+    semantics).  So t_hat is never 0, and at least min(G^-1(eta),
+    sqrt(2 log p)) up to the inverse's error.  A NaN statistic marks a
+    failed fit: it counts in M and never in R(t).
     """
     _check_eta(eta)
     if p < 2:
         raise ValueError(f"p must be >= 2, got {p}")
     stats = np.abs(np.asarray(pair_stats, dtype=float))
-    if m_tested < stats.size:
-        raise ValueError(f"m_tested={m_tested} smaller than the number of statistics {stats.size}")
+    if not isinstance(m_tested, numbers.Integral) or m_tested < stats.size:
+        raise ValueError(f"m_tested={m_tested} must be an integer >= the {stats.size} statistics")
     ranked = np.sort(stats[~np.isnan(stats)])
     t_max = math.sqrt(2.0 * math.log(p))
     if m_tested == 0:
         return t_max
-    # t = 0 candidate: G(0) = 1 and R(0) counts every statistic.
-    if m_tested <= eta * max(ranked.size, 1):
-        return 0.0
     interior = ranked[(ranked > 0.0) & (ranked < t_max)]
     interior = interior[np.diff(interior, prepend=0.0) > 0.0]  # distinct values
     lowers = np.concatenate(([0.0], interior))
@@ -372,8 +373,6 @@ def fdr_cutoff(pair_stats, m_tested: int, p: int, eta: float) -> float:
     i = 0
     while i < uppers.size:
         lo, hi, q = float(lowers[i]), float(uppers[i]), eta * max(int(above[i]), 1) / m_tested
-        if q >= 1.0:
-            return lo
         if gauss_two_sided_tail(hi) <= q:
             return max(lo, min(gauss_tail_inverse(q), hi))
         t_skip = gauss_tail_inverse(max(q, 1e-300)) - _JUMP_MARGIN  # 1e-300: its accuracy floor

@@ -416,6 +416,41 @@ def test_alpha1_whose_rate_overflows_is_invalid(tmp_path, capsys, monkeypatch, c
     assert not (tmp_path / "out").exists()
 
 
+def check_fails_without_output(tmp_path, capsys, argv, shown):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(shown)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, shown",
+    [
+        (None, "error FILE_NOT_FOUND: config file not found"),
+        ("{bad", "error INVALID_CONFIG: config file {path}: Expecting property name"),
+        ("[1, 2]", "error INVALID_CONFIG: config file {path} must hold a JSON object"),
+    ],
+)
+def test_unreadable_config_file(tmp_path, capsys, text, shown):
+    cfg_path = tmp_path / "cfg.json"
+    if text is not None:
+        write_text(cfg_path, text)
+    argv = unchecked_argv("analyze", tmp_path) + ["--config", str(cfg_path)]
+    check_fails_without_output(tmp_path, capsys, argv, shown.format(path=cfg_path))
+
+
+@pytest.mark.parametrize(
+    "extra, shown",
+    [
+        (["--reps", "0"], "error INVALID_CONFIG: reps must be >= 1, got 0"),
+        (["--misspecified", "--p", "2"], "error INVALID_CONFIG: misspecified runs need p >= 3"),
+    ],
+)
+def test_simulate_option_rejected_by_the_library(tmp_path, capsys, extra, shown):
+    argv = unchecked_argv("simulate", tmp_path)
+    argv += ["--family", "gaussian", "--b", "0.5", "--alpha1", "0", "--eta", "0.1"]
+    check_fails_without_output(tmp_path, capsys, argv + extra, shown)
+
+
 class TestAnalyzeCommand:
     def test_end_to_end_report(self, tmp_path):
         x_path, y_path, x, y = make_analysis_files(tmp_path)
@@ -535,6 +570,15 @@ class TestAnalyzeCommand:
         )
         assert code != 0
         assert "FILE_NOT_FOUND" in capsys.readouterr().err
+
+    def test_response_file_with_two_columns(self, tmp_path, capsys):
+        x_path, _, _, y = make_analysis_files(tmp_path)
+        y_path = tmp_path / "y2.csv"
+        write_csv(y_path, np.column_stack([y, y]), ("y", "z"))
+        argv = ["analyze", "--x", str(x_path), "--y", str(y_path), "--family", "gaussian",
+                "--alpha1", "0.1", "--eta", "0.1", "--out", str(tmp_path / "out")]
+        shown = f"error INVALID_CONFIG: response file {y_path} must have exactly one column"
+        check_fails_without_output(tmp_path, capsys, argv, shown)
 
     def test_parse_error_code(self, tmp_path, capsys):
         write_text(tmp_path / "x.csv", "a,b\n1,oops\n")
@@ -941,6 +985,7 @@ class TestSimulateCommand:
             (["--alpha1", "0,inf"], "'inf'"),
             (["--beta0", "nan"], "'nan'"),
             (["--beta0=-inf"], "'-inf'"),
+            (["--b", ","], "argument --b: expected at least one number"),
         ],
     )
     def test_bad_flag_fails_before_running(self, tmp_path, capsys, monkeypatch, bad, shown):

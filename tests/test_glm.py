@@ -135,6 +135,32 @@ class TestDesignBuilders:
             build_stage1_design([2.0, 0.0, 1.0], [5.0, float("inf"), 7.0])
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: DesignMatrix(np.ones(3)), "nonempty n x d matrix"),
+            (lambda: DesignMatrix(np.ones((0, 2))), "nonempty n x d matrix"),
+            (lambda: DesignMatrix(np.array([[1.0, math.nan]])), "entries must be finite"),
+            (lambda: build_stage1_design([1.0]), "at least 2 observations"),
+            (lambda: build_stage2_design(np.ones((2, 1)), np.ones(2)), "one-dimensional"),
+            (
+                lambda: fit_glm(build_stage1_design([0.0, 1.0, 2.0]), [0.0, 1.0], GAUSSIAN),
+                "response length 2 does not match n=3",
+            ),
+            (
+                lambda: wald_statistic(
+                    fit_glm(build_stage1_design([0.0, 1.0, 2.0]), [0.0, 2.0, 1.0], GAUSSIAN), 2
+                ),
+                "coef_index 2 out of range",
+            ),
+        ],
+    )
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
 class TestFitGaussian:
     def test_exact_line(self):
         # normal equations by hand: y = 1 + 2x exactly

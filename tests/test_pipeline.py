@@ -719,6 +719,40 @@ class TestBatchedFits:
         assert (np.abs(result.t - want) <= 1e-9 * np.abs(want)).all()
 
 
+def _dataset_fields(**changes):
+    rng = np.random.default_rng(17)
+    fields = {"x": rng.standard_normal((12, 3)), "y": rng.standard_normal(12), "family": GAUSSIAN}
+    return {**fields, **changes}
+
+
+class TestDatasetChecks:
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"x": np.zeros(12)}, "x must be an n x p matrix"),
+            ({"x": np.zeros((12, 1))}, "need p >= 2"),
+            ({"y": np.zeros(11)}, "y must have length 12"),
+            ({"x": np.full((12, 3), math.inf)}, "x and y must be finite"),
+            ({"y": np.full(12, math.nan)}, "x and y must be finite"),
+            ({"adjust": np.zeros((11, 1))}, "adjust must be a finite n x q matrix"),
+            ({"adjust": np.full(12, math.nan)}, "adjust must be a finite n x q matrix"),
+            ({"labels": ("a", "b")}, "labels must match the number of columns"),
+        ],
+    )
+    def test_bad_input_rejected(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(**_dataset_fields(**changes))
+
+    def test_one_dimensional_adjust_is_a_column(self):
+        adjust = np.random.default_rng(18).standard_normal(12)
+        flat = Dataset(**_dataset_fields(adjust=adjust))
+        column = Dataset(**_dataset_fields(adjust=adjust[:, None]))
+        assert flat.adjust.shape == (12, 1)
+        screen = ScreenResult(t_stats=np.zeros(3), passing=(0, 1, 2))
+        got, want = stage2_tests(flat, screen).t, stage2_tests(column, screen).t
+        assert got.tobytes() == want.tobytes()
+
+
 class TestFdrCutoff:
     def test_hand_worked_example(self):
         # feasible on (0.5, 3.5] with R = 2: t = G^-1(0.05 * 2 / 3) = 2.1280452341849845
@@ -764,8 +798,21 @@ class TestFdrCutoff:
         assert fdr_cutoff(mixed, m, p, eta) == fdr_cutoff(stats, m, p, eta)
 
     def test_m_smaller_than_stats_rejected(self):
-        with pytest.raises(ValueError):
-            fdr_cutoff([1.0, 2.0], 1, 10, 0.05)
+        # M must be an integer count: M = 0.5 once gave t_hat = 0, rejecting every pair
+        for stats, m, eta in [
+            ([1.0, 2.0], 1, 0.05),
+            ([], 0.5, 0.6),
+            ([1.0, 2.0], 2.5, 0.05),
+            ([1.0], math.nan, 0.05),
+            ([1.0], math.inf, 0.05),
+        ]:
+            with pytest.raises(ValueError, match="must be an integer >="):
+                fdr_cutoff(stats, m, 10, eta)
+
+    def test_numpy_integer_m_accepted(self):
+        assert fdr_cutoff([4.0, 3.5, 0.5], np.int64(3), 10, 0.05) == fdr_cutoff(
+            [4.0, 3.5, 0.5], 3, 10, 0.05
+        )
 
     def test_eta_domain(self):
         for bad in (0.0, 1.0, -0.2, 1.7, math.nan):
@@ -816,6 +863,9 @@ class TestFdrCutoff:
         m = stats.size + extra
         got, want = fdr_cutoff(stats, m, p, eta), scan_cutoff(stats, m, p, eta)
         assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
+        # never 0, and never below G^-1(eta): every level q is at most eta
+        assert got > 0.0
+        assert got >= min(gauss_tail_inverse(eta), math.sqrt(2.0 * math.log(p))) - 1e-9
 
     @pytest.mark.parametrize("shifted", [0, 500])
     def test_search_evaluates_few_tails(self, monkeypatch, shifted):
