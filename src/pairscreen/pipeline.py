@@ -222,32 +222,42 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     Logistic 0/1 columns without stage-1 adjusters are fitted on 4 rows:
     the cells x = 0, 1 with y = 1 and with y = 0, weighted by their counts
     (0/1 sums from ``x.sum(0)``, ``y @ x`` and ``y.sum()``, exact in
-    float64).  A column with an empty or pure cell is fitted on its rows.
-    Failed fits are recorded with a status code and never pass.  Raises
-    AllFitsFailed when no column could be fitted.
+    float64).  The fit depends on the counts alone, so each distinct count
+    vector is fitted once, in order of its first column, and its outcome
+    goes to every column that has it.  An empty cell (a constant column) is
+    SINGULAR_DESIGN and a pure cell (only cases or only controls) is
+    SEPARATION, without a fit.  Failed fits are recorded with a status code
+    and never pass.  Raises AllFitsFailed when no column could be fitted.
     """
     if not alpha >= 0.0:  # NaN too
         raise ValueError(f"alpha must be >= 0, got {alpha}")
     p = data.p
     adjust = data.adjust if adjust_in_stage1 else None
-    t_stats = np.full(p, np.nan)
-    failed: dict[int, str] = {}
-    live = np.zeros(p, dtype=bool)
     if data.family is LOGISTIC and adjust is None and ((data.x == 0.0) | (data.x == 1.0)).all():
         cells, y_cells = build_stage1_design(np.tile([0.0, 1.0], 2)), np.repeat([1.0, 0.0], 2)
         n1, s1 = data.x.sum(axis=0), data.y @ data.x
         counts = np.column_stack([data.n - n1, n1])
         sums = np.column_stack([data.y.sum() - s1, s1])
-        weights = np.hstack([sums, counts - sums])
-        live = (weights > 0.0).all(axis=1)  # no empty or pure cell
-    for j in range(p):
-        if live[j]:
-            t_stats[j], code = _fit_outcome(cells, y_cells, data.family, 1, weights[j])
-        else:
-            design = build_stage1_design(data.x[:, j], adjust)
-            t_stats[j], code = _fit_outcome(design, data.y, data.family, 1)
-        if code:
-            failed[j] = code
+        keys, first, inverse = np.unique(
+            np.hstack([sums, counts - sums]), axis=0, return_index=True, return_inverse=True
+        )
+        by_key = {}
+        for u in np.argsort(first).tolist():
+            w = keys[u]
+            if (w[:2] + w[2:] == 0.0).any():
+                by_key[u] = (math.nan, SingularDesign.code)
+            elif (w == 0.0).any():
+                by_key[u] = (math.nan, Separation.code)
+            else:
+                by_key[u] = _fit_outcome(cells, y_cells, data.family, 1, w)
+        outcomes = [by_key[u] for u in inverse.ravel().tolist()]
+    else:
+        outcomes = [
+            _fit_outcome(build_stage1_design(data.x[:, j], adjust), data.y, data.family, 1)
+            for j in range(p)
+        ]
+    t_stats = np.array([t for t, _ in outcomes], dtype=float)
+    failed = {j: code for j, (_, code) in enumerate(outcomes) if code}
     if len(failed) == p:
         raise AllFitsFailed("every stage-1 marginal fit failed")
     passing = tuple(j for j in range(p) if j not in failed and abs(t_stats[j]) >= alpha)

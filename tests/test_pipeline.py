@@ -370,20 +370,28 @@ def binary_logistic_data(draw):
 
 
 class TestCellCounts:
-    """Stage-2 logistic fits on 0/1 columns run from cell counts; both
-    stages must agree with the fit on the full rows, item by item.  A
-    stage-2 pair with every cell count positive (live) gets the closed-form
-    MLE, which the 40-digit oracle checks; fit_glm's Newton T stops at its
-    score target, up to about 1e-8 from the MLE."""
+    """Logistic fits on 0/1 columns run from cell counts; both stages must
+    agree with the fit on the full rows, item by item.  A stage-1 column
+    with an empty cell is SINGULAR_DESIGN and one with a pure cell is
+    SEPARATION, from its counts.  A stage-2 pair with every cell count
+    positive (live) gets the closed-form MLE, which the 40-digit oracle
+    checks; fit_glm's Newton T stops at its score target, up to about 1e-8
+    from the MLE."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=binary_logistic_data(), alpha=st.sampled_from([0.0, 0.5, 1.5]))
     def test_same_outcomes_as_full_fits(self, data, alpha):
         fit_outcome = pairscreen.pipeline._fit_outcome
-        stage1 = [
-            fit_outcome(build_stage1_design(data.x[:, j]), data.y, LOGISTIC, 1)
-            for j in range(data.p)
-        ]
+        stage1 = []
+        for j in range(data.p):
+            cells = [data.y[data.x[:, j] == a] for a in (0.0, 1.0)]
+            if min(cell.size for cell in cells) == 0:
+                stage1.append((math.nan, "SINGULAR_DESIGN"))
+            elif any(cell.min() == cell.max() for cell in cells):
+                stage1.append((math.nan, "SEPARATION"))
+            else:
+                design = build_stage1_design(data.x[:, j])
+                stage1.append(fit_outcome(design, data.y, LOGISTIC, 1))
         failed = {j: code for j, (_, code) in enumerate(stage1) if code}
         if len(failed) == data.p:
             with pytest.raises(AllFitsFailed):
@@ -421,29 +429,79 @@ class TestCellCounts:
             else:  # handed back to fit_glm
                 assert abs(got - want) <= 1e-10
 
-    def test_stage1_fits_each_column_once_from_cells_or_rows(self, monkeypatch):
-        rng = np.random.default_rng(33)
-        x = (rng.random((300, 4)) < 0.4).astype(float)
-        y = (rng.random(300) < 0.4).astype(float)
-        x[:, 1] = 0.0  # constant: two empty cells
-        x[:, 2] = 0.0
-        x[:40, 2] = 1.0
-        y[:40] = 1.0  # every carrier is a case: a pure cell
+    @staticmethod
+    def record_stage1_fits(monkeypatch) -> list:
+        """Wrap fit_glm in ``pipeline``; the list gets each call's weights."""
         real_fit, fits = pairscreen.pipeline.fit_glm, []
 
         def fit_glm(design, y, family, weights=None):
-            fits.append((design.values[:, 1].tolist(), None if weights is None else weights.tolist()))
+            assert design.values[:, 1].tolist() == [0.0, 1.0, 0.0, 1.0]
+            fits.append(weights.tolist())
             return real_fit(design, y, family, weights)
 
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
+        return fits
+
+    @staticmethod
+    def cell_counts(x, y) -> list:
+        """Counts of (x, y) = (0, 1), (1, 1), (0, 0), (1, 0): the stage-1 weights."""
+        return [float(np.sum((x == a) & (y == b))) for b in (1, 0) for a in (0, 1)]
+
+    def test_stage1_codes_empty_and_pure_cells_from_counts(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        x = (rng.random((300, 4)) < 0.4).astype(float)
+        y = (rng.random(300) < 0.4).astype(float)
+        x[:, 1] = 0.0  # constant: an empty cell
+        x[:, 2] = 0.0
+        x[:40, 2] = 1.0
+        y[:40] = 1.0  # every carrier is a case: a pure cell
+        fits = self.record_stage1_fits(monkeypatch)
         screen = stage1_screen(Dataset(x=x, y=y, family=LOGISTIC), 0.0)
-        cell_x = [0.0, 1.0, 0.0, 1.0]
-        assert [design for design, _ in fits] == [cell_x, *x.T[1:3].tolist(), cell_x]
-        for j in (0, 3):  # counts of (x, y) = (0, 1), (1, 1), (0, 0), (1, 0)
-            want = [np.sum((x[:, j] == a) & (y == b)) for b in (1, 0) for a in (0, 1)]
-            assert fits[j][1] == want and min(want) > 0
-        assert fits[1][1] is None and fits[2][1] is None
-        assert screen.failed == {1: "SINGULAR_DESIGN"}
+        assert fits == [self.cell_counts(x[:, j], y) for j in (0, 3)]
+        assert min(min(w) for w in fits) > 0
+        assert screen.failed == {1: "SINGULAR_DESIGN", 2: "SEPARATION"}
+        assert screen.passing == (0, 3)
+
+    def test_stage1_column_whose_carriers_are_all_controls_never_passes(self):
+        # no MLE: a row fit's Newton T runs off to about -136 and passes any screen
+        rng = np.random.default_rng(35)
+        x = (rng.random((400, 4)) < 0.3).astype(float)
+        y = (rng.random(400) < 0.4).astype(float)
+        y[x[:, 0] == 1.0] = 0.0
+        screen = stage1_screen(Dataset(x=x, y=y, family=LOGISTIC), 2.0)
+        assert screen.failed == {0: "SEPARATION"}
+        assert np.isnan(screen.t_stats[0]) and screen.passing == ()
+
+    def test_stage1_fits_each_count_vector_once(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        n = 300
+        y = (rng.random(n) < 0.4).astype(float)
+        a, b = (rng.random((2, n)) < [[0.3], [0.6]]).astype(float)
+        pure = np.zeros(n)
+        pure[np.flatnonzero(y == 0.0)[:25]] = 1.0  # every carrier is a control
+
+        def shuffled(col):  # other rows, same counts of cases and of controls
+            out = col.copy()
+            for rows in (np.flatnonzero(y == 1.0), np.flatnonzero(y == 0.0)):
+                out[rows] = col[rng.permutation(rows)]
+            assert not np.array_equal(out, col)
+            return out
+
+        zeros, ones = np.zeros(n), np.ones(n)
+        columns = [a, b, shuffled(a), pure, a, shuffled(pure), zeros, shuffled(b), ones, zeros]
+        x = np.column_stack(columns)
+        fits = self.record_stage1_fits(monkeypatch)
+        screen = stage1_screen(Dataset(x=x, y=y, family=LOGISTIC), 0.0)
+        assert fits == [self.cell_counts(a, y), self.cell_counts(b, y)]  # first a, then b
+        assert screen.failed == {
+            3: "SEPARATION", 5: "SEPARATION",
+            6: "SINGULAR_DESIGN", 8: "SINGULAR_DESIGN", 9: "SINGULAR_DESIGN",
+        }
+        assert np.isnan(screen.t_stats[list(screen.failed)]).all()
+        for j in (0, 1, 2, 4, 7):  # the same float as a screen of the column on its own
+            alone = stage1_screen(Dataset(x=np.column_stack([x[:, j], zeros]), y=y, family=LOGISTIC), 0.0)
+            assert screen.t_stats[j].tobytes() == alone.t_stats[0].tobytes()
+        assert screen.t_stats[0] != screen.t_stats[1]
 
     @staticmethod
     def count_pair_fits(monkeypatch, data):

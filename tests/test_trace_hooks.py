@@ -5,8 +5,8 @@ span-recording wrapper at the module attribute where the caller looks it
 up.  A renamed or deleted attribute breaks every traced benchmark call, and
 the benchmark's own tests are not part of this suite, so this test reads
 the table and checks each name against the package.  The benchmark also
-counts calls: its stage-1 counts need one ``fit_glm`` call per column, and
-each run must call ``build_stage2_design``.
+counts calls: its stage-1 counts need one ``fit_glm`` call per distinct
+0/1 count vector, and each run must call ``build_stage2_design``.
 """
 
 import importlib
@@ -57,15 +57,17 @@ def count_calls(monkeypatch, names) -> list:
     return calls
 
 
-def test_stage1_calls_the_traced_functions_once_per_column(monkeypatch):
-    # 0/1 logistic columns: the ones that stage 1 fits from cell counts
+def test_stage1_calls_the_traced_functions_once_per_count_vector(monkeypatch):
+    # 0/1 logistic columns: the ones that stage 1 fits from cell counts;
+    # column 6 copies column 2, so it has the same counts and no fit of its own
     rng = np.random.default_rng(5)
     x = (rng.random((200, 6)) < 0.3).astype(float)
+    x = np.column_stack([x, x[:, 2]])
     y = (rng.random(200) < 0.4).astype(float)
     calls = count_calls(monkeypatch, ("build_stage1_design", "fit_glm", "wald_statistic"))
     stage1_screen(Dataset(x=x, y=y, family=LOGISTIC), 0.0)
     calls = [name for name, _ in calls]
-    assert calls.count("fit_glm") == calls.count("wald_statistic") == x.shape[1]
+    assert calls.count("fit_glm") == calls.count("wald_statistic") == 6
     assert "build_stage1_design" in calls
 
 
