@@ -10,13 +10,14 @@ gaussian with identity link and Bernoulli with logit link.  The gaussian
 dispersion never needs to be estimated because the B matrix uses raw
 squared residuals, so it cancels from every Wald statistic.
 
-``fit_glm`` fits one model and owns every failure rule.  Only it takes
-row weights (counts), which fit a grouped design: a logistic model on 0/1
-columns is saturated over its cells, so the fit on the cells weighted by
-their counts is the fit on the rows (the grouped-binomial likelihood).  The
-private ``_saturated_wald`` gives such a T in closed form from the counts,
-and ``_batched_wald`` fits a block of models on unweighted rows as stacked
-arrays; both hand back each fit that only ``fit_glm`` can settle.
+``fit_glm`` fits one model on rows and owns the failure rules of such a
+fit.  Only it takes row weights (counts), which fit a grouped design: a
+logistic model on 0/1 columns is saturated over its cells, so the fit on
+the cells weighted by their counts is the fit on the rows.  Its counts
+decide it: the private ``_cell_codes`` gives its code where the MLE does
+not exist, and ``_saturated_wald`` its T in closed form where it does.
+``_batched_wald`` fits a block of models on unweighted rows as stacked
+arrays and hands back each fit that only ``fit_glm`` can settle.
 ``fit_glm`` takes a logistic Newton step s unevaluated when concavity
 certifies its log-likelihood test: ll(beta + s) - ll(beta) >=
 score(beta + s) . s >= -_HALVING_SLACK / 2, half the least allowance the
@@ -329,10 +330,19 @@ def wald_statistic(fit: GlmFit, coef_index: int) -> float:
     return value
 
 
-@np.errstate(all="ignore")  # an empty count gives a non-finite bound: handed back
+def _cell_codes(cases, controls) -> np.ndarray:
+    """Failure code per logistic fit saturated over its cells, from its
+    ``cases`` and ``controls`` per cell (... x c): SINGULAR_DESIGN for an
+    empty cell, else SEPARATION for a pure one (its MLE does not exist:
+    Albert & Anderson 1984), else "" (live: every count positive)."""
+    pure = ((cases == 0) | (controls == 0)).any(axis=-1)  # an empty cell is pure too
+    level = pure + (cases + controls == 0).any(axis=-1).astype(int)  # 0 live, 1 pure, 2 empty
+    return np.array(["", Separation.code, SingularDesign.code], dtype=object)[level]
+
+
 def _saturated_wald(cells, cases, controls, coef_index: int) -> np.ndarray:
-    """T of coefficient ``coef_index`` of logistic fits saturated over their
-    cells, in closed form; NaN where fit_glm must decide.
+    """T of coefficient ``coef_index`` of live logistic fits saturated over
+    their cells, in closed form.
 
     Fit i is fit_glm's fit of one row per cell (C = ``cells``, invertible)
     weighted by ``cases[i]`` with y = 1 and ``controls[i]`` with y = 0 (s, f).
@@ -340,19 +350,11 @@ def _saturated_wald(cells, cases, controls, coef_index: int) -> np.ndarray:
     squared residuals sum to its variance sum s f / (s + f), so the sandwich
     is A^-1 = n C^-1 diag(1/s + 1/f) C^-T: T = beta_k / sqrt(sum_c (C^-1_kc)^2
     (1/s_c + 1/f_c)), for a stage-2 pair Woolf's log odds-ratio statistic.
-    Newton steps in beta are Newton steps per cell in theta, which go from 0
-    monotonically to log(s / f), so every fit_glm iterate has |beta_k| <=
-    sum_c |C^-1_kc theta_c|; a fit whose bound comes within 1 of
-    _SEPARATION_BOUND is handed back.  No other rule of fit_glm fires, as
-    every cell has a residual of at least 1/2.
     """
-    # row sums, not matrix products: the bits of a fit do not depend on its block
+    # row sums, not matrix products: the bits of a fit do not depend on the others
     inverse = np.linalg.inv(cells)
-    theta = np.log(cases / controls)
     var = ((1.0 / cases + 1.0 / controls) * inverse[coef_index] ** 2).sum(axis=1)
-    t = (theta * inverse[coef_index]).sum(axis=1) / np.sqrt(var)
-    bound = (np.abs(theta[:, None, :]) * np.abs(inverse)).sum(axis=2).max(axis=1)
-    return np.where(bound <= _SEPARATION_BOUND - 1.0, t, np.nan)
+    return (np.log(cases / controls) * inverse[coef_index]).sum(axis=1) / np.sqrt(var)
 
 
 _COND_TOL = 1e-12  # least Gram or Hessian eigenvalue ratio the batched kernel settles

@@ -13,12 +13,12 @@ statistics with ``|T| >= t`` and ``G`` is the two-sided normal tail.  With
 the classical BH cutoff applied to all p(p-1)/2 pairs.
 
 ``stage2_tests`` is the only code that fits stage-2 pairs, for ``analyze``
-and ``simulate`` alike.  It splits the pairs into blocks of at most
+and ``simulate`` alike.  Logistic pairs of 0/1 columns are decided by
+their cell counts in one pass.  Other pairs go in blocks of at most
 ``_BLOCK_ROWS`` design rows, and the worker pool maps runs of consecutive
-blocks, one run per worker.  Each block is one batched kernel call (for
-0/1 logistic pairs, one closed form) plus a full ``fit_glm`` fit for every
-pair handed back.  ``simulate`` passes its per-pair responses through
-``pair_response``.
+blocks, one run per worker: each block is one batched kernel call plus a
+full ``fit_glm`` fit for every pair handed back.  ``simulate`` passes its
+per-pair responses through ``pair_response``.
 
 Boundary conventions:
 
@@ -44,6 +44,7 @@ from .glm import (
     LOGISTIC,
     Family,
     _batched_wald,
+    _cell_codes,
     _saturated_wald,
     build_stage1_design,
     build_stage2_design,
@@ -241,15 +242,12 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
         keys, first, inverse = np.unique(
             np.hstack([sums, counts - sums]), axis=0, return_index=True, return_inverse=True
         )
-        by_key = {}
+        codes, by_key = _cell_codes(keys[:, :2], keys[:, 2:]).tolist(), {}
         for u in np.argsort(first).tolist():
-            w = keys[u]
-            if (w[:2] + w[2:] == 0.0).any():
-                by_key[u] = (math.nan, SingularDesign.code)
-            elif (w == 0.0).any():
-                by_key[u] = (math.nan, Separation.code)
+            if codes[u]:
+                by_key[u] = (math.nan, codes[u])
             else:
-                by_key[u] = _fit_outcome(cells, y_cells, data.family, 1, w)
+                by_key[u] = _fit_outcome(cells, y_cells, data.family, 1, keys[u])
         outcomes = [by_key[u] for u in inverse.ravel().tolist()]
     else:
         outcomes = [
@@ -264,17 +262,12 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     return ScreenResult(t_stats=t_stats, passing=passing, failed=failed)
 
 
-def _fit_pairs(data: Dataset, idx, grams, pair_response, step: int, pairs) -> tuple:
+def _fit_pairs(data: Dataset, idx, pair_response, step: int, pairs) -> tuple:
     """``(t, status)`` for the pairs ``(idx[jj], idx[kk])``, in blocks of ``step``.
 
     The batched kernel fits a block on one stage-2 design over the block's
-    columns laid end to end (``adjust`` repeated per pair).  When ``grams``
-    holds the Gram matrices of 0/1 columns, each pair's T comes in closed
-    form from its cells (x_j, x_k) = 00, 10, 01, 11 instead: their counts
-    of cases and controls.  Counts and response sums of the (1, 1) cells
-    come from the Gram matrices (0/1 sums, exact in float64); the other
-    cells follow by subtraction.  Each pair that is not settled so (one
-    with an empty or pure cell, say) gets a full fit on its own design.
+    columns laid end to end (``adjust`` repeated per pair), and each pair it
+    hands back gets a full fit on its own design.
     """
     jj_all, kk_all = pairs
     t, status = np.full(jj_all.size, np.nan), np.full(jj_all.size, "", dtype=object)
@@ -282,19 +275,10 @@ def _fit_pairs(data: Dataset, idx, grams, pair_response, step: int, pairs) -> tu
         jj, kk = jj_all[lo : lo + step], kk_all[lo : lo + step]
         j, k = idx[jj], idx[kk]
         y = pair_response(j, k) if pair_response else np.broadcast_to(data.y, (j.size, data.n))
-        if grams is None:
-            adj = None if data.adjust is None else np.tile(data.adjust, (j.size, 1))
-            design = build_stage2_design(data.x.T[j].ravel(), data.x.T[k].ravel(), adj).values
-            fits = design.reshape(j.size, data.n, -1)
-            t[lo : lo + j.size] = _batched_wald(fits, y, data.family, INTERACTION_INDEX)
-        else:
-            cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2)).values
-            gram, y_gram = grams
-            n11, na, nb = gram[jj, kk], gram[jj, jj], gram[kk, kk]
-            s11, sa, sb = y_gram[jj, kk], y_gram[jj, jj], y_gram[kk, kk]
-            counts = np.column_stack([data.n - na - nb + n11, na - n11, nb - n11, n11])
-            sums = np.column_stack([data.y.sum() - sa - sb + s11, sa - s11, sb - s11, s11])
-            t[lo : lo + j.size] = _saturated_wald(cells, sums, counts - sums, INTERACTION_INDEX)
+        adj = None if data.adjust is None else np.tile(data.adjust, (j.size, 1))
+        design = build_stage2_design(data.x.T[j].ravel(), data.x.T[k].ravel(), adj).values
+        fits = design.reshape(j.size, data.n, -1)
+        t[lo : lo + j.size] = _batched_wald(fits, y, data.family, INTERACTION_INDEX)
         for i in np.flatnonzero(np.isnan(t[lo : lo + step])).tolist():
             design = build_stage2_design(data.x[:, j[i]], data.x[:, k[i]], data.adjust)
             t[lo + i], status[lo + i] = _fit_outcome(design, y[i], data.family, INTERACTION_INDEX)
@@ -306,30 +290,43 @@ def stage2_tests(
 ) -> PairTestResult:
     """Interaction Wald statistics for every pair of passing variables.
 
-    Pairs are enumerated lexicographically (j < k) and fitted in blocks of
-    at most ``_BLOCK_ROWS`` design rows; the worker pool maps runs of whole
-    blocks, one run per worker, and the result is identical for any worker
-    count and block split.  A failed fit leaves T = NaN and its status code.
-    Logistic pairs of 0/1 columns without adjusters get the T of the exact
-    MLE in closed form from their 8 cell counts, within about 1e-8 of the
-    Newton fit.  ``pair_response(j, k)``, if given, returns one response row
-    per pair of a block (B x n), used in place of ``data.y``.
+    Pairs are enumerated lexicographically (j < k).  Logistic pairs of 0/1
+    columns without adjusters are decided by their cells (x_j, x_k) = 00,
+    10, 01, 11 in one pass, with no fit on rows: ``_cell_codes`` codes a
+    pair with an empty or pure cell, and ``_saturated_wald`` gives every
+    other pair the T of the exact MLE, within about 1e-8 of the Newton fit.
+    Other pairs are fitted in blocks of at most ``_BLOCK_ROWS`` design rows;
+    the worker pool maps runs of whole blocks, one run per worker, and the
+    result is identical for any worker count and block split.  A failed fit
+    leaves T = NaN and its status code.  ``pair_response(j, k)``, if given,
+    returns the response rows of a block's pairs (B x n), for ``data.y``.
     """
     _check_workers(workers)
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
-    grams = None
     if pair_response is None and data.family is LOGISTIC and data.adjust is None:
         cols = data.x[:, idx]
         if ((cols == 0.0) | (cols == 1.0)).all():
-            grams = cols.T @ cols, (cols * data.y[:, None]).T @ cols
-    step = max(1, _BLOCK_ROWS // (data.n if grams is None else 8))
+            def cell_sums(gram, total):  # per pair, over its cells 00, 10, 01, 11: 0/1
+                # sums (exact in float64), (1, 1) from the Gram matrix, the rest by subtraction
+                n11, na, nb = gram[jj, kk], gram[jj, jj], gram[kk, kk]
+                return np.column_stack([total - na - nb + n11, na - n11, nb - n11, n11])
+
+            cases = cell_sums((cols * data.y[:, None]).T @ cols, data.y.sum())
+            controls = cell_sums(cols.T @ cols, data.n) - cases
+            status = _cell_codes(cases, controls)
+            t, live = np.full(jj.size, np.nan), status == ""
+            cases, controls = cases[live], controls[live]  # frees the full count arrays
+            cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2)).values
+            t[live] = _saturated_wald(cells, cases, controls, INTERACTION_INDEX)
+            return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
+    step = max(1, _BLOCK_ROWS // data.n)
     # One run of whole blocks per worker (one empty run if there are no pairs).
     # Looping over its blocks, a worker frees a block's arrays only after it
     # built the next block's, so malloc keeps the pages instead of freeing them.
     run = step * max(1, math.ceil(jj.size / (step * workers)))
     runs = [(jj[lo : lo + run], kk[lo : lo + run]) for lo in range(0, max(jj.size, 1), run)]
-    fitted = _map_items(_fit_pairs, (data, idx, grams, pair_response, step), runs, workers)
+    fitted = _map_items(_fit_pairs, (data, idx, pair_response, step), runs, workers)
     t, status = (np.concatenate(parts) for parts in zip(*fitted))
     return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
 

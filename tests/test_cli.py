@@ -27,6 +27,7 @@ from pairscreen import csvio
 from pairscreen.cli import main
 from pairscreen.csvio import dominant_encode, format_number, load_csv_matrix
 from pairscreen.pipeline import _fit_outcome
+from test_glm import cell_table, log_odds_ratio_oracle, table_code
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 
@@ -647,17 +648,25 @@ class TestAnalyzeCommand:
             assert code == 0
             return [(out_dir / name).read_bytes() for name in ("r.json", "r.rejected.csv")]
 
-        # the kernel hands pairs (0, 4) and (2, 3) back to full fits
+        # the counts decide every pair: (0, 4) has empty cells, (2, 3) a pure one
         one, two = run(1), run(2)
         assert one == two
         doc = json.loads(one[0])
         outcomes = {(rec["j"], rec["k"]): (rec["t_jk"], "") for rec in doc["pairs"]}
         outcomes.update({(rec["j"], rec["k"]): (None, rec["reason"]) for rec in doc["skipped"]})
+        assert outcomes[(0, 4)] == (None, "SINGULAR_DESIGN")
+        assert outcomes[(2, 3)] == (None, "SEPARATION")
+        assert len(outcomes) == 15
         carrier = carrier.astype(float)
-        for j, k in ((0, 4), (2, 3)):
-            design = build_stage2_design(carrier[:, j], carrier[:, k])
-            t, code = _fit_outcome(design, y, LOGISTIC, 3)
-            assert outcomes[(j, k)] == (None if code else t, code)
+        for (j, k), (t, code) in outcomes.items():
+            table = cell_table(y, carrier[:, j], carrier[:, k])
+            assert code == table_code(*table)
+            if not code:
+                oracle = log_odds_ratio_oracle(*table)
+                assert abs(t - oracle) <= 1e-12 * max(1.0, abs(oracle))
+                design = build_stage2_design(carrier[:, j], carrier[:, k])
+                full_t, full_code = _fit_outcome(design, y, LOGISTIC, 3)
+                assert full_code == "" and abs(t - full_t) <= 1e-8
 
     def test_workers_capped_at_cpu_count(self, tmp_path, monkeypatch):
         x_path, y_path, x, _ = make_analysis_files(tmp_path)

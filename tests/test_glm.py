@@ -29,7 +29,7 @@ from pairscreen import (
     wald_statistic,
 )
 import pairscreen.glm
-from pairscreen.glm import DesignMatrix, GlmFit, _saturated_wald, family_from_name
+from pairscreen.glm import DesignMatrix, GlmFit, _cell_codes, _saturated_wald, family_from_name
 from pairscreen.pipeline import _fit_outcome
 
 
@@ -390,9 +390,36 @@ def log_odds_ratio_oracle(cases, controls) -> float:
         return float(log_or / mpmath.sqrt(mpmath.fsum(1 / c for c in s + f)))
 
 
+def cell_table(y, *cols) -> tuple[list, list]:
+    """Counts of cases and of controls per cell of the 0/1 ``cols``, cell
+    x_1 + 2 x_2 + ...: for a pair (x_j, x_k) = 00, 10, 01, 11."""
+    cell = sum(col.astype(int) << i for i, col in enumerate(cols))
+    sizes = [int(np.sum(cell == c)) for c in range(2 ** len(cols))]
+    cases = [int(np.sum(y[cell == c])) for c in range(2 ** len(cols))]
+    return cases, [size - s for size, s in zip(sizes, cases)]
+
+
+def table_code(cases, controls) -> str:
+    """The code a saturated logistic fit gets from its counts: SINGULAR_DESIGN
+    if a cell is empty, else SEPARATION if one is pure (no MLE), else ""."""
+    if min(s + f for s, f in zip(cases, controls)) == 0:
+        return "SINGULAR_DESIGN"
+    return "SEPARATION" if min(*cases, *controls) == 0 else ""
+
+
+def cell_fit(cases, controls) -> tuple[float, str]:
+    """fit_glm's outcome for the table: the 8 cell rows weighted by count."""
+    rows = DesignMatrix(np.concatenate([STAGE2_CELLS, STAGE2_CELLS]))
+    y, weights = np.repeat([1.0, 0.0], 4), np.concatenate([cases, controls]).astype(float)
+    return _fit_outcome(rows, y, LOGISTIC, 3, weights)
+
+
 class TestSaturatedWald:
-    """Stage-2 logistic pairs of 0/1 columns in closed form: a fit it
-    settles is one fit_glm fits, at the MLE."""
+    """Stage-2 logistic pairs of 0/1 columns are decided by their 8 cell
+    counts: a table with an empty or pure cell gets its code from the
+    counts, and a live one (every count positive) the T of its MLE in
+    closed form, which is fit_glm's T wherever fit_glm's Newton iterates
+    stay inside its |beta| box."""
 
     counts = st.one_of(
         st.integers(1, 3),  # near-empty cells
@@ -408,20 +435,24 @@ class TestSaturatedWald:
     )
     def test_settled_fits_match_fit_glm_and_the_oracle(self, cases, controls):
         table = np.array([cases, controls], dtype=float)
+        assert _cell_codes(table[0], table[1]) == ""
         t = _saturated_wald(STAGE2_CELLS, table[:1], table[1:], 3)[0]
-        rows = DesignMatrix(np.concatenate([STAGE2_CELLS, STAGE2_CELLS]))
-        y, weights = np.repeat([1.0, 0.0], 4), np.array(cases + controls, dtype=float)
-        _, code = _fit_outcome(rows, y, LOGISTIC, 3, weights)
-        if math.isnan(t):  # handed back: fit_glm decides
-            return
-        assert code == ""
         oracle = log_odds_ratio_oracle(cases, controls)
         assert abs(t - oracle) <= 1e-12 * max(1.0, abs(oracle))
+        # Newton steps in beta are Newton steps per cell in theta, which go
+        # from 0 monotonically to log(s / f), so every fit_glm iterate has
+        # |beta_k| <= sum_c |C^-1_kc theta_c|.  Within 1 of the |beta| <= 30
+        # box fit_glm may leave it; inside, no rule of fit_glm fires, as every
+        # cell has a residual of at least 1/2.
+        theta = np.log(table[0] / table[1])
+        if (np.abs(np.linalg.inv(STAGE2_CELLS)) @ np.abs(theta)).max() > 29.0:
+            return
+        assert cell_fit(cases, controls)[1] == ""
         # fit_glm's score target bounds the score averaged over n, so with
         # counts near 1e7 it stops with a small cell's logit up to ~1e-3 short
         # (T up to ~0.1); run past that target, it reaches the MLE.
         with mock.patch.object(pairscreen.glm, "_SCORE_TARGET", 0.0):
-            full_t, full_code = _fit_outcome(rows, y, LOGISTIC, 3, weights)
+            full_t, full_code = cell_fit(cases, controls)
         assert full_code == ""
         # ... up to its own rounding: its solves with the averaged Hessian A
         # lose cond(A) ulps, and y - mu of a near-pure cell loses 1 / min(mu,
@@ -433,18 +464,40 @@ class TestSaturatedWald:
 
     @pytest.mark.parametrize("cell", range(8))
     def test_an_empty_count_is_handed_back(self, cell):
-        counts = np.full((1, 8), 5.0)
-        counts[0, cell] = 0.0
-        assert math.isnan(_saturated_wald(STAGE2_CELLS, counts[:, :4], counts[:, 4:], 3)[0])
+        # a zero count makes its cell pure: no MLE, so the counts give the
+        # code and no T; with both of a cell's counts zero the cell is empty,
+        # and fit_glm's rank test on the rows gives the same code
+        counts = np.full(8, 5)
+        counts[cell] = 0
+        assert _cell_codes(counts[:4], counts[4:]) == "SEPARATION"
+        counts[(cell + 4) % 8] = 0
+        assert _cell_codes(counts[:4], counts[4:]) == "SINGULAR_DESIGN"
+        rows = np.repeat(np.concatenate([STAGE2_CELLS, STAGE2_CELLS]), counts, axis=0)
+        y = np.repeat(np.repeat([1.0, 0.0], 4), counts)
+        assert _fit_outcome(DesignMatrix(rows), y, LOGISTIC, 3)[1] == "SINGULAR_DESIGN"
 
     def test_a_table_past_the_box_is_handed_back(self):
         # every cell's logit is log(1e7 / 2): the MLE's interaction coefficient
-        # is 0, but the bound on a Newton iterate's, 4 log(5e6) = 61.7, is past
-        # the |beta| box; at 4 log(500) = 24.9 it is inside
+        # is 0, and the bound on a Newton iterate's, 4 log(5e6) = 61.7, is past
+        # the |beta| box, unlike 4 log(500) = 24.9.  The counts decide both
+        # tables all the same; on this one fit_glm stays inside the box and
+        # agrees
         cases, controls = np.full((1, 4), 1e7), np.full((1, 4), 2.0)
-        assert math.isnan(_saturated_wald(STAGE2_CELLS, cases, controls, 3)[0])
+        t = _saturated_wald(STAGE2_CELLS, cases, controls, 3)[0]
+        assert t == pytest.approx(0.0, abs=1e-12)
+        fit_t, code = cell_fit(cases[0], controls[0])
+        assert code == "" and abs(fit_t - t) <= 1e-12
         t = _saturated_wald(STAGE2_CELLS, cases / 1e4, controls, 3)[0]
         assert t == pytest.approx(0.0, abs=1e-12)
+
+    def test_a_live_table_past_the_box_gets_the_oracle_t(self):
+        # a live table on which fit_glm's iterates leave the |beta| box: its
+        # MLE exists all the same, and the closed form gives its Woolf T
+        cases, controls = [1, 1, 1, 9999999], [1, 1, 9999999, 1]
+        assert cell_fit(cases, controls)[1] == "SEPARATION"
+        t = _saturated_wald(STAGE2_CELLS, np.array([cases], float), np.array([controls], float), 3)
+        oracle = log_odds_ratio_oracle(cases, controls)
+        assert abs(t[0] - oracle) <= 1e-12 * max(1.0, abs(oracle))
 
 
 class TestInvariants:

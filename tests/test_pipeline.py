@@ -7,7 +7,9 @@ shares no interval algebra with the implementation.
 """
 
 import dataclasses
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +34,9 @@ from pairscreen import (
     stage2_tests,
 )
 from pairscreen.pipeline import ScreenResult, alpha_from_rate
+from pairscreen.report import write_report
 from test_fit_reference import halving_fits, seeded_fits
-from test_glm import log_odds_ratio_oracle
+from test_glm import cell_table, log_odds_ratio_oracle, table_code
 
 
 def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
@@ -370,13 +373,13 @@ def binary_logistic_data(draw):
 
 
 class TestCellCounts:
-    """Logistic fits on 0/1 columns run from cell counts; both stages must
-    agree with the fit on the full rows, item by item.  A stage-1 column
-    with an empty cell is SINGULAR_DESIGN and one with a pure cell is
-    SEPARATION, from its counts.  A stage-2 pair with every cell count
-    positive (live) gets the closed-form MLE, which the 40-digit oracle
-    checks; fit_glm's Newton T stops at its score target, up to about 1e-8
-    from the MLE."""
+    """Logistic fits on 0/1 columns are decided by their cell counts in both
+    stages.  A column or pair with an empty cell is SINGULAR_DESIGN and one
+    with a pure cell is SEPARATION, from its counts, with no fit on rows.  A
+    live one (every count positive) agrees with the fit on the full rows: a
+    stage-2 pair gets the closed-form MLE, which the 40-digit oracle checks,
+    and fit_glm's Newton T stops at its score target, up to about 1e-8 from
+    the MLE."""
 
     @settings(max_examples=200, deadline=None)
     @given(data=binary_logistic_data(), alpha=st.sampled_from([0.0, 0.5, 1.5]))
@@ -384,11 +387,9 @@ class TestCellCounts:
         fit_outcome = pairscreen.pipeline._fit_outcome
         stage1 = []
         for j in range(data.p):
-            cells = [data.y[data.x[:, j] == a] for a in (0.0, 1.0)]
-            if min(cell.size for cell in cells) == 0:
-                stage1.append((math.nan, "SINGULAR_DESIGN"))
-            elif any(cell.min() == cell.max() for cell in cells):
-                stage1.append((math.nan, "SEPARATION"))
+            code = table_code(*cell_table(data.y, data.x[:, j]))
+            if code:
+                stage1.append((math.nan, code))
             else:
                 design = build_stage1_design(data.x[:, j])
                 stage1.append(fit_outcome(design, data.y, LOGISTIC, 1))
@@ -409,25 +410,20 @@ class TestCellCounts:
         expected_pairs, expected_skipped = [], []
         for a, j in enumerate(passing):
             for k in passing[a + 1 :]:
-                design = build_stage2_design(data.x[:, j], data.x[:, k])
-                stat, code = fit_outcome(design, data.y, LOGISTIC, 3)
-                if not code:
-                    expected_pairs.append((j, k, stat))
+                table = cell_table(data.y, data.x[:, j], data.x[:, k])
+                if table_code(*table):
+                    expected_skipped.append((j, k, table_code(*table)))
                 else:
-                    expected_skipped.append((j, k, code))
+                    design = build_stage2_design(data.x[:, j], data.x[:, k])
+                    stat, code = fit_outcome(design, data.y, LOGISTIC, 3)
+                    assert code == ""
+                    expected_pairs.append((j, k, stat, log_odds_ratio_oracle(*table)))
         fitted, skipped = fitted_and_skipped(result)
         assert skipped == expected_skipped
-        assert [(j, k) for j, k, _ in fitted] == [(j, k) for j, k, _ in expected_pairs]
-        for (j, k, got), (_, _, want) in zip(fitted, expected_pairs):
-            cells = [(data.x[:, j] == a) & (data.x[:, k] == b) for b in (0, 1) for a in (0, 1)]
-            cases = [int(data.y[c].sum()) for c in cells]
-            controls = [int(c.sum()) - ones for c, ones in zip(cells, cases)]
-            if min(cases + controls) > 0:
-                oracle = log_odds_ratio_oracle(cases, controls)
-                assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
-                assert abs(got - want) <= 1e-8
-            else:  # handed back to fit_glm
-                assert abs(got - want) <= 1e-10
+        assert [(j, k) for j, k, _ in fitted] == [(j, k) for j, k, _, _ in expected_pairs]
+        for (_, _, got), (_, _, want, oracle) in zip(fitted, expected_pairs):
+            assert abs(got - oracle) <= 1e-12 * max(1.0, abs(oracle))
+            assert abs(got - want) <= 1e-8
 
     @staticmethod
     def record_stage1_fits(monkeypatch) -> list:
@@ -505,7 +501,7 @@ class TestCellCounts:
 
     @staticmethod
     def count_pair_fits(monkeypatch, data):
-        """Run stage 2 and return the pairs it fitted with fit_glm."""
+        """Run stage 2; return the pairs it fitted with fit_glm, and its result."""
         screen = stage1_screen(data, 0.0)
         real_fit = pairscreen.glm.fit_glm
         fitted = []
@@ -521,8 +517,7 @@ class TestCellCounts:
             return real_fit(design, y, family, weights)
 
         monkeypatch.setattr(pairscreen.pipeline, "fit_glm", fit_glm)
-        stage2_tests(data, screen)
-        return fitted
+        return fitted, stage2_tests(data, screen)
 
     @staticmethod
     def pairs_with_a_pure_cell(x, y):
@@ -543,12 +538,53 @@ class TestCellCounts:
         y = (rng.random(400) < 0.4).astype(float)
         assert self.pairs_with_a_pure_cell(x, y) == []
         data = Dataset(x=x, y=y, family=LOGISTIC)
-        assert self.count_pair_fits(monkeypatch, data) == []
+        fitted, result = self.count_pair_fits(monkeypatch, data)
+        assert fitted == [] and fitted_and_skipped(result)[1] == []
 
+        # a pure cell has no MLE: the counts code the pair, with no fit either
         y[(x[:, 1] == 1.0) & (x[:, 3] == 1.0)] = 1.0
         assert self.pairs_with_a_pure_cell(x, y) == [(1, 3)]
         data = Dataset(x=x, y=y, family=LOGISTIC)
-        assert self.count_pair_fits(monkeypatch, data) == [(1, 3)]
+        fitted, result = self.count_pair_fits(monkeypatch, data)
+        assert fitted == [] and fitted_and_skipped(result)[1] == [(1, 3, "SEPARATION")]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=binary_logistic_data(), workers=st.sampled_from([1, 2]))
+    def test_both_stages_code_by_the_count_rule(self, data, workers):
+        codes = [table_code(*cell_table(data.y, data.x[:, j])) for j in range(data.p)]
+        failed = {j: code for j, code in enumerate(codes) if code}
+        if len(failed) == data.p:
+            with pytest.raises(AllFitsFailed):
+                stage1_screen(data, 0.0)
+            return
+        screen = stage1_screen(data, 0.0)
+        assert screen.failed == failed
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 0/1 logistic pair was fitted on rows")
+
+        with mock.patch.multiple(pairscreen.pipeline, fit_glm=refuse, _batched_wald=refuse):
+            result = stage2_tests(data, screen, workers=workers)
+        for j, k, code in zip(result.j.tolist(), result.k.tolist(), result.status.tolist()):
+            assert code == table_code(*cell_table(data.y, data.x[:, j], data.x[:, k]))
+        assert np.isnan(result.t).tolist() == [bool(code) for code in result.status]
+
+    def test_a_pair_with_a_pure_cell_is_skipped_never_rejected(self, tmp_path):
+        # cells (x_j, x_k) = 00, 10, 01, 11; the (1, 1) cell holds 52 cases and
+        # no controls, so the MLE does not exist: a Newton fit on the rows
+        # stops at T = 34.8, which any cutoff would reject
+        cases, controls = (60, 68, 67, 52), (30, 16, 7, 0)
+        cells = np.tile(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), (2, 1))
+        x = np.repeat(cells, cases + controls, axis=0)
+        y = np.repeat([1.0, 0.0], [sum(cases), sum(controls)])
+        data = Dataset(x=x, y=y, family=LOGISTIC)
+        report = run_two_stage(data, 0.0, 0.1)
+        assert report.pairs.status.tolist() == ["SEPARATION"]
+        assert np.isnan(report.pairs.t[0]) and report.rejections == 0
+        write_report(report, data, tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"))
+        assert [(rec["j"], rec["k"], rec["reason"]) for rec in doc["skipped"]] == [(0, 1, "SEPARATION")]
+        assert doc["pairs"] == [] and doc["rejections"] == 0
 
 
 @st.composite

@@ -6,7 +6,10 @@ up.  A renamed or deleted attribute breaks every traced benchmark call, and
 the benchmark's own tests are not part of this suite, so this test reads
 the table and checks each name against the package.  The benchmark also
 counts calls: its stage-1 counts need one ``fit_glm`` call per distinct
-0/1 count vector, and each run must call ``build_stage2_design``.
+0/1 count vector, and each run must call ``build_stage2_design``, which
+stage 2 calls once per block of row fits, once per pair it hands back to
+``fit_glm``, and once on 0/1 logistic data, which no ``fit_glm`` call
+sees: the counts decide every such pair.
 """
 
 import importlib
@@ -72,26 +75,29 @@ def test_stage1_calls_the_traced_functions_once_per_count_vector(monkeypatch):
 
 
 def test_stage2_builds_a_design_per_block_and_fits_only_pairs_it_hands_back(monkeypatch):
-    # 0/1 logistic columns, stage 2 in closed form from cell counts; every
-    # carrier of column 5 is a case, so its pairs have a pure cell
+    # continuous logistic columns go to the kernel in blocks; column 5 copies
+    # column 4, so pair (4, 5) has a singular design and is handed back
     rng = np.random.default_rng(6)
-    x = (rng.random((300, 6)) < 0.3).astype(float)
+    x = rng.standard_normal((300, 6))
+    x[:, 5] = x[:, 4]
     y = (rng.random(300) < 0.4).astype(float)
-    y[x[:, 5] == 1.0] = 1.0
-    cells = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
-    live = [
-        (j, k)
-        for j in range(6)
-        for k in range(j + 1, 6)
-        if all(((x[:, j] == a) & (x[:, k] == b) & (y == c)).any() for a, b, c in cells)
-    ]
-    assert len(live) == 10
-    monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", 8 * 4)  # 4 pairs a block
+    monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", 300 * 4)  # 4 pairs a block
     calls = count_calls(monkeypatch, ("build_stage2_design", "fit_glm"))
     screen = ScreenResult(t_stats=np.zeros(6), passing=tuple(range(6)))
     result = stage2_tests(Dataset(x=x, y=y, family=LOGISTIC), screen)
     fitted = [args[0].values[:, 1:3].T.tolist() for name, args in calls if name == "fit_glm"]
-    pairs = zip(result.j.tolist(), result.k.tolist())
-    assert fitted == [[x[:, j].tolist(), x[:, k].tolist()] for j, k in pairs if (j, k) not in live]
-    blocks = [args for name, args in calls if name == "build_stage2_design" and len(args[0]) == 4]
+    assert fitted == [[x[:, 4].tolist(), x[:, 5].tolist()]]
+    assert result.status.tolist().count("SINGULAR_DESIGN") == 1
+    blocks = [args for name, args in calls if name == "build_stage2_design" and len(args[0]) > 300]
     assert len(blocks) == 4  # 15 pairs
+
+    # 0/1 logistic columns, decided by their cell counts: one design (the 4
+    # cells) and no fit; every carrier of column 5 is a case, so its pairs
+    # have a pure cell
+    x = (rng.random((300, 6)) < 0.3).astype(float)
+    y = (rng.random(300) < 0.4).astype(float)
+    y[x[:, 5] == 1.0] = 1.0
+    calls.clear()
+    result = stage2_tests(Dataset(x=x, y=y, family=LOGISTIC), screen)
+    assert [name for name, _ in calls] == ["build_stage2_design"]
+    assert result.status.tolist() == ["SEPARATION" if k == 5 else "" for k in result.k.tolist()]
