@@ -383,13 +383,16 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
     _MAX_ITER steps.  A fit that leaves the |beta| box, fails a residual or
     variance test, or has a Gram or Hessian eigenvalue ratio below _COND_TOL
     (far above _RANK_TOL) or residuals below _RESID_FLOOR is handed back too.
+    Column 0 of each design is the intercept (1.0), as both builders make it,
+    so the first d column products in np.triu_indices(d) order are xt itself.
     """
-    xt = np.ascontiguousarray(np.swapaxes(design, 1, 2), dtype=float)  # B x d x n
-    nb, d, n = xt.shape
+    nb, n, d = design.shape
     rows, cols = np.triu_indices(d)
     products = np.empty((nb, rows.size, n))  # products of design column pairs
-    for i, (a, b) in enumerate(zip(rows, cols)):
-        np.multiply(xt[:, a], xt[:, b], out=products[:, i])
+    products[:, :d] = np.swapaxes(design, 1, 2)
+    for i in range(d, rows.size):
+        np.multiply(products[:, rows[i]], products[:, cols[i]], out=products[:, i])
+    xt = products[:, :d]  # B x d x n
     y = np.broadcast_to(np.asarray(y, dtype=float), (nb, n))
     index, stats = np.arange(nb), np.full(nb, np.nan)
 
@@ -426,8 +429,9 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
     # _MAX_ITER steps have passed.  Each state's Hessian is formed and
     # screened once: for the going fits, or for all once half of the block
     # has stopped, when the stopped fits are settled on it and dropped.
-    beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), family.mean(np.zeros((nb, n)))
-    score, a_mat = mean_x(y - mu), moment(family.variance_from_mean(mu))
+    mu0 = family.mean(0.0)  # at beta = 0 the mean and the variance are constants
+    beta, going, mu = np.zeros((nb, d)), np.ones(nb, dtype=bool), np.full((nb, n), mu0)
+    score, a_mat = mean_x(y - mu), moment(np.full((nb, n), family.variance_from_mean(mu0)))
     if family is GAUSSIAN:
         a_mat, ok = _conditioned(a_mat, going)
         beta = np.linalg.solve(a_mat, score[..., None])[..., 0]
@@ -440,8 +444,9 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
             settle(np.where(going[:, None], np.nan, beta), mu, a_mat, ok)
             if it == _MAX_ITER or not going.any():
                 return stats
-            block = (index, xt, products, y, beta, mu, score, a_mat, ok, going)
-            index, xt, products, y, beta, mu, score, a_mat, ok, going = (a[going] for a in block)
+            block = (index, products, y, beta, mu, score, a_mat, ok, going)
+            index, products, y, beta, mu, score, a_mat, ok, going = (a[going] for a in block)
+            xt = products[:, :d]
         else:
             a_mat, ok = _conditioned(a_mat, going)
         step = np.linalg.solve(a_mat, score[..., None])[..., 0]

@@ -812,6 +812,41 @@ class TestBatchedFits:
         # the worst relative gap was 2.2e-12
         assert (np.abs(result.t - want) <= 1e-9 * np.abs(want)).all()
 
+    @pytest.mark.parametrize("family", [LOGISTIC, GAUSSIAN])
+    @pytest.mark.parametrize("stage, q", [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)])
+    def test_kernel_fits_every_width_the_builders_make(self, stage, q, family):
+        # d = 2 + q for stage-1 designs, 4 + q for stage-2 designs; the kernel
+        # stacks the design as the first d rows of its column products
+        rng = np.random.default_rng(0)
+        n, p = 120, 6
+        z = rng.standard_normal(n)
+        x = z[:, None] * np.array([0.0, 0.5, 1.0, 2.0, 4.0, 8.0]) + rng.standard_normal((n, p))
+        if family is GAUSSIAN:
+            y = 2.0 * z + rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < 1.0 / (1.0 + np.exp(-2.0 * z))).astype(float)
+        adjust = rng.standard_normal((n, q)) if q else None
+        if stage == 1:  # the last design has a constant column
+            designs = [build_stage1_design(v, adjust) for v in [*x.T, np.full(n, 1.5)]]
+        else:  # the last design pairs a column with itself
+            jj, kk = np.triu_indices(p, 1)
+            pairs = [*zip(jj.tolist(), kk.tolist()), (0, 0)]
+            designs = [build_stage2_design(x[:, j], x[:, k], adjust) for j, k in pairs]
+        coef = 1 if stage == 1 else 3
+        got = pairscreen.glm._batched_wald(np.stack([d.values for d in designs]), y, family, coef)
+        expected = [pairscreen.pipeline._fit_outcome(d, y, family, coef) for d in designs]
+        assert [code for _, code in expected] == [""] * (len(designs) - 1) + ["SINGULAR_DESIGN"]
+        assert np.isnan(got).tolist() == [False] * (len(designs) - 1) + [True]
+        for t, (want, code) in zip(got.tolist(), expected):
+            assert close_or_failed(t, want, code)
+        if family is LOGISTIC:
+            # some fits stop before the block's first half-block compaction
+            # and some after it: the kernel settles both
+            iters = np.array([pairscreen.glm.fit_glm(d, y, family).iterations for d in designs[:-1]])
+            iters = np.append(iters, 0)  # the singular fit stops at once
+            cut = next(it for it in range(100) if 2 * np.count_nonzero(iters > it) <= iters.size)
+            assert iters.min() < cut < iters.max()
+
 
 def _dataset_fields(**changes):
     rng = np.random.default_rng(17)
