@@ -109,7 +109,8 @@ def family_from_name(name: str) -> Family:
 @dataclass(frozen=True)
 class DesignMatrix:
     """Dense, finite, nonempty n x d design; first column is the intercept
-    when built by the stage builders."""
+    when built by the stage builders, which lay ``values`` out column-major
+    (each column contiguous), as the batched kernel reads them."""
 
     values: np.ndarray
 
@@ -149,7 +150,7 @@ def _as_vector(x, name: str) -> np.ndarray:
 
 
 def _design(cols: list, adjust) -> DesignMatrix:
-    """Stack the columns, then append the columns of ``adjust`` (n or n x q)."""
+    """The columns, then those of ``adjust`` (n or n x q), column-major."""
     if adjust is not None:
         n = cols[0].size
         adj = np.asarray(adjust, dtype=float)
@@ -160,7 +161,7 @@ def _design(cols: list, adjust) -> DesignMatrix:
         if not np.isfinite(adj).all():
             raise ValueError("adjust entries must be finite")
         cols = cols + list(adj.T)
-    return DesignMatrix(np.column_stack(cols))
+    return DesignMatrix(np.array(cols).T)
 
 
 def build_stage1_design(x_col, adjust=None) -> DesignMatrix:
@@ -220,7 +221,7 @@ def fit_glm(design: DesignMatrix, y, family: Family, weights=None) -> GlmFit:
     around |theta| ~ 19 on separated unit-scale data, before the box
     bound, and the Wald statistic is equally meaningless there).
     """
-    X = design.values
+    X = np.ascontiguousarray(design.values)  # one layout: BLAS's bits depend on it
     yv = _as_vector(y, "y")
     rows, d = X.shape
     if yv.size != rows:
@@ -358,17 +359,31 @@ def _saturated_wald(cells, cases, controls, coef_index: int) -> np.ndarray:
 
 
 _COND_TOL = 1e-12  # least Gram or Hessian eigenvalue ratio the batched kernel settles
+_DET_CERT = 1e-9  # least det(mat / trace(mat)) that certifies that ratio without eigvalsh
 _RESID_FLOOR = 1e-8  # least mean squared residual, over mean squared y, it settles
 
 
+@np.errstate(divide="ignore", invalid="ignore")  # a zero trace or non-finite entries: NaN
 def _conditioned(mat, ok):
     """``(mat, ok)``, ``ok`` narrowed to the finite symmetric mat[i] with an
-    eigenvalue ratio above _COND_TOL, the identity standing in for the rest."""
-    eye = np.eye(mat.shape[-1])
+    eigenvalue ratio above _COND_TOL, the identity standing in for the rest.
+
+    Each mat[i] is a moment mean(w x x^T) with weights w >= 0, so its
+    diagonal and trace s are >= 0.  With eigenvalues >= 0, lambda_max <= s
+    and lambda_min >= det / s^(d-1), so det(mat / s) >= _DET_CERT puts the
+    ratio at or above _DET_CERT, far above _COND_TOL: such a matrix passes
+    without eigvalsh.  Rounding can leave a moment one or two negative
+    eigenvalues of order n eps s, which make det(mat / s) negative or about
+    1e-26, so it is never certified.  The rest (a zero or non-finite trace
+    gives NaN) take the eigenvalue test.
+    """
     ok = ok & np.isfinite(mat).all(axis=(1, 2))
-    eig = np.linalg.eigvalsh(np.where(ok[:, None, None], mat, eye))
-    ok &= eig[:, 0] > _COND_TOL * eig[:, -1]
-    return np.where(ok[:, None, None], mat, eye), ok
+    scale = np.trace(mat, axis1=1, axis2=2)[:, None, None]
+    rest = ok & ~(np.linalg.det(mat / scale) >= _DET_CERT)
+    if rest.any():
+        eig = np.linalg.eigvalsh(mat[rest])
+        ok[rest] = eig[:, 0] > _COND_TOL * eig[:, -1]
+    return np.where(ok[:, None, None], mat, np.eye(mat.shape[-1])), ok
 
 
 @np.errstate(all="ignore")  # a fit with non-finite values is handed back
@@ -385,6 +400,10 @@ def _batched_wald(design, y, family: Family, coef_index: int) -> np.ndarray:
     (far above _RANK_TOL) or residuals below _RESID_FLOOR is handed back too.
     Column 0 of each design is the intercept (1.0), as both builders make it,
     so the first d column products in np.triu_indices(d) order are xt itself.
+    ``design`` may have any layout.  Stage 2 passes a B x n x d view of one
+    column-major (B n) x d builder design, so each fit's columns are
+    contiguous runs of n, and the copy into the product stack reads them as
+    they lie.
     """
     nb, n, d = design.shape
     rows, cols = np.triu_indices(d)

@@ -65,7 +65,7 @@ __all__ = [
 ]
 
 INTERACTION_INDEX = 3  # column of x_j * x_k in the stage-2 design
-_BLOCK_ROWS = 1 << 16  # design rows per block of batched stage-2 fits
+_BLOCK_ROWS = 1 << 16  # design rows per block of batched stage-2 fits; pairs per count chunk
 _JUMP_MARGIN = 1e-9  # how far short of G^-1(q) the cutoff search's jumps stop
 
 
@@ -262,8 +262,9 @@ def stage1_screen(data: Dataset, alpha: float, adjust_in_stage1: bool = False) -
     return ScreenResult(t_stats=t_stats, passing=passing, failed=failed)
 
 
-def _fit_pairs(data: Dataset, idx, pair_response, step: int, pairs) -> tuple:
-    """``(t, status)`` for the pairs ``(idx[jj], idx[kk])``, in blocks of ``step``.
+def _fit_pairs(data: Dataset, idx, cols, pair_response, step: int, pairs) -> tuple:
+    """``(t, status)`` for the pairs ``(idx[jj], idx[kk])``, in blocks of ``step``;
+    ``cols`` holds the columns ``data.x[:, idx]`` as contiguous rows.
 
     The batched kernel fits a block on one stage-2 design over the block's
     columns laid end to end (``adjust`` repeated per pair), and each pair it
@@ -276,11 +277,11 @@ def _fit_pairs(data: Dataset, idx, pair_response, step: int, pairs) -> tuple:
         j, k = idx[jj], idx[kk]
         y = pair_response(j, k) if pair_response else np.broadcast_to(data.y, (j.size, data.n))
         adj = None if data.adjust is None else np.tile(data.adjust, (j.size, 1))
-        design = build_stage2_design(data.x.T[j].ravel(), data.x.T[k].ravel(), adj).values
-        fits = design.reshape(j.size, data.n, -1)
+        design = build_stage2_design(cols[jj].ravel(), cols[kk].ravel(), adj).values
+        fits = design.reshape(j.size, data.n, -1)  # a view, each fit's columns contiguous
         t[lo : lo + j.size] = _batched_wald(fits, y, data.family, INTERACTION_INDEX)
         for i in np.flatnonzero(np.isnan(t[lo : lo + step])).tolist():
-            design = build_stage2_design(data.x[:, j[i]], data.x[:, k[i]], data.adjust)
+            design = build_stage2_design(cols[jj[i]], cols[kk[i]], data.adjust)
             t[lo + i], status[lo + i] = _fit_outcome(design, y[i], data.family, INTERACTION_INDEX)
     return t, status
 
@@ -295,6 +296,8 @@ def stage2_tests(
     10, 01, 11 in one pass, with no fit on rows: ``_cell_codes`` codes a
     pair with an empty or pure cell, and ``_saturated_wald`` gives every
     other pair the T of the exact MLE, within about 1e-8 of the Newton fit.
+    The pass takes the pairs ``_BLOCK_ROWS`` at a time, so its count arrays
+    do not grow with M.
     Other pairs are fitted in blocks of at most ``_BLOCK_ROWS`` design rows;
     the worker pool maps runs of whole blocks, one run per worker, and the
     result is identical for any worker count and block split.  A failed fit
@@ -304,21 +307,25 @@ def stage2_tests(
     _check_workers(workers)
     idx = np.asarray(screen.passing, dtype=int)
     jj, kk = np.triu_indices(idx.size, 1)
+    cols = np.ascontiguousarray(data.x[:, idx].T)  # the passing columns, as rows
     if pair_response is None and data.family is LOGISTIC and data.adjust is None:
-        cols = data.x[:, idx]
         if ((cols == 0.0) | (cols == 1.0)).all():
-            def cell_sums(gram, total):  # per pair, over its cells 00, 10, 01, 11: 0/1
+            def cell_sums(gram, total, a, b):  # per pair, over its cells 00, 10, 01, 11: 0/1
                 # sums (exact in float64), (1, 1) from the Gram matrix, the rest by subtraction
-                n11, na, nb = gram[jj, kk], gram[jj, jj], gram[kk, kk]
+                n11, na, nb = gram[a, b], gram[a, a], gram[b, b]
                 return np.column_stack([total - na - nb + n11, na - n11, nb - n11, n11])
 
-            cases = cell_sums((cols * data.y[:, None]).T @ cols, data.y.sum())
-            controls = cell_sums(cols.T @ cols, data.n) - cases
-            status = _cell_codes(cases, controls)
-            t, live = np.full(jj.size, np.nan), status == ""
-            cases, controls = cases[live], controls[live]  # frees the full count arrays
+            case_gram, gram = (cols * data.y) @ cols.T, cols @ cols.T
             cells = build_stage2_design(np.tile([0.0, 1.0], 2), np.repeat([0.0, 1.0], 2)).values
-            t[live] = _saturated_wald(cells, cases, controls, INTERACTION_INDEX)
+            t, status = np.full(jj.size, np.nan), np.empty(jj.size, dtype=object)
+            # chunks of pairs bound the count arrays; a pair's T is a row sum of its own
+            for lo in range(0, jj.size, _BLOCK_ROWS):
+                out = slice(lo, lo + _BLOCK_ROWS)
+                cases = cell_sums(case_gram, data.y.sum(), jj[out], kk[out])
+                controls = cell_sums(gram, data.n, jj[out], kk[out]) - cases
+                status[out] = _cell_codes(cases, controls)
+                live = status[out] == ""
+                t[out][live] = _saturated_wald(cells, cases[live], controls[live], INTERACTION_INDEX)
             return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
     step = max(1, _BLOCK_ROWS // data.n)
     # One run of whole blocks per worker (one empty run if there are no pairs).
@@ -326,7 +333,7 @@ def stage2_tests(
     # built the next block's, so malloc keeps the pages instead of freeing them.
     run = step * max(1, math.ceil(jj.size / (step * workers)))
     runs = [(jj[lo : lo + run], kk[lo : lo + run]) for lo in range(0, max(jj.size, 1), run)]
-    fitted = _map_items(_fit_pairs, (data, idx, pair_response, step), runs, workers)
+    fitted = _map_items(_fit_pairs, (data, idx, cols, pair_response, step), runs, workers)
     t, status = (np.concatenate(parts) for parts in zip(*fitted))
     return PairTestResult(j=idx[jj], k=idx[kk], t=t, status=status)
 

@@ -135,6 +135,36 @@ class TestDesignBuilders:
             build_stage1_design([2.0, 0.0, 1.0], [5.0, float("inf"), 7.0])
 
 
+class TestDesignLayout:
+    """The builders lay designs out column-major, as stage 2's batched
+    kernel reads them; fit_glm's bits do not depend on the layout."""
+
+    @pytest.mark.parametrize("q", [0, 1, 2])
+    def test_builder_values_are_column_major(self, q):
+        rng = np.random.default_rng(q)
+        x, adjust = rng.standard_normal((2, 30)), rng.standard_normal((30, q)) if q else None
+        for design in (build_stage1_design(x[0], adjust), build_stage2_design(x[0], x[1], adjust)):
+            assert design.values.flags.f_contiguous
+
+    @pytest.mark.parametrize("family", [GAUSSIAN, LOGISTIC])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_fit_bits_do_not_depend_on_the_layout(self, family, q):
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            n = int(rng.integers(12, 200))
+            x, adjust = rng.standard_normal((2, n)), rng.standard_normal((n, q)) if q else None
+            theta = x[0] - 0.5 * x[1] + x[0] * x[1]
+            if family is GAUSSIAN:
+                y = theta + rng.standard_normal(n)
+            else:
+                y = (rng.random(n) < 1.0 / (1.0 + np.exp(-theta))).astype(float)
+            for design in (build_stage1_design(x[0], adjust), build_stage2_design(x[0], x[1], adjust)):
+                by_column = fit_glm(design, y, family)
+                by_row = fit_glm(DesignMatrix(np.ascontiguousarray(design.values)), y, family)
+                for name in ("beta_hat", "sandwich_cov", "model_cov"):
+                    assert getattr(by_column, name).tobytes() == getattr(by_row, name).tobytes()
+
+
 class TestInputChecks:
     @pytest.mark.parametrize(
         "call, message",
@@ -562,3 +592,76 @@ class TestInvariants:
         assert np.array_equal(got == 0.0, reference == 0.0)
         nonzero = reference != 0.0
         assert np.max(np.abs(got[nonzero] / reference[nonzero] - 1.0)) <= 1e-15
+
+
+def conditioned_oracle(mat, ok):
+    """The kernel's conditioning screen by eigenvalues alone, as it was
+    before the determinant certificate."""
+    eye = np.eye(mat.shape[-1])
+    ok = ok & np.isfinite(mat).all(axis=(1, 2))
+    eig = np.linalg.eigvalsh(np.where(ok[:, None, None], mat, eye))
+    ok &= eig[:, 0] > pairscreen.glm._COND_TOL * eig[:, -1]
+    return np.where(ok[:, None, None], mat, eye), ok
+
+
+def moment_stack(rng, d, size):
+    """``(mats, kinds)``: ``size`` moments mean(w x x^T) over 40 rows of d
+    columns (an intercept first), formed from their upper triangle as the
+    kernel forms its Gram and Hessian matrices, each of a random kind:
+    random columns, at unit scale or at scales 1e-3 to 1e3 (eigenvalue
+    ratios down to about 1e-12 and below); a last column that copies the one
+    before plus noise at 1e-9 to 1e-3 (eigenvalue ratios near its square,
+    straddling 1e-12) or plus nothing (collinear); weights down to 1e-300,
+    or positive on only d - 1 to d + 1 rows; all weights zero.  Then each is
+    scaled by 1e-150 to 1e150, and one in 20 gets a NaN and one in 20 an inf
+    pair of entries."""
+    n, (rows, cols) = 40, np.triu_indices(d)
+    kinds = rng.choice(["random", "scaled", "near", "collinear", "tiny", "few", "zero"], size)
+    mats = np.empty((size, d, d))
+    for i, kind in enumerate(kinds):
+        x = rng.standard_normal((n, d))
+        if kind == "scaled":
+            x *= 10.0 ** rng.uniform(-3, 3, d)
+        x[:, 0] = 1.0
+        if kind == "near":
+            x[:, -1] = x[:, -2] + 10.0 ** rng.uniform(-9, -3) * rng.standard_normal(n)
+        elif kind == "collinear":
+            x[:, -1] = 2.0 * x[:, -2] - 0.5
+        w = rng.random(n)
+        if kind == "tiny":
+            w = 10.0 ** rng.uniform(-300, 0, n)
+        elif kind == "few":
+            w[rng.permutation(n)[: n - int(rng.integers(d - 1, d + 2))]] = 0.0
+        elif kind == "zero":
+            w[:] = 0.0
+        flat = (x[:, rows] * x[:, cols] * w[:, None]).sum(axis=0) / n
+        mats[i, rows, cols] = mats[i, cols, rows] = flat * 10.0 ** rng.uniform(-150, 150)
+    for value in (np.nan, np.inf):
+        hit = rng.random(size) < 0.05
+        a, b = rng.integers(0, d, (2, size))
+        mats[hit, a[hit], b[hit]] = mats[hit, b[hit], a[hit]] = value
+    return mats, kinds
+
+
+class TestConditionedScreen:
+    """The kernel's screen certifies a well-conditioned moment by its
+    determinant and sends only the rest to eigvalsh: it must pass and
+    replace exactly the matrices that the eigenvalue screen alone does."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_same_as_the_eigenvalue_screen(self, d, seed):
+        rng = np.random.default_rng([d, seed])
+        mats, kinds = moment_stack(rng, d, 1000)
+        ok = rng.random(mats.shape[0]) < 0.8
+        want_mat, want_ok = conditioned_oracle(mats, ok)
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            got_mat, got_ok = pairscreen.glm._conditioned(mats, ok)
+        assert got_ok.tolist() == want_ok.tolist()
+        assert got_mat.tobytes() == want_mat.tobytes()
+        # both paths ran: some matrices were certified, the rest decomposed
+        decomposed = sum(call.args[0].shape[0] for call in eig.call_args_list)
+        assert 0 < decomposed < np.count_nonzero(ok & np.isfinite(mats).all(axis=(1, 2)))
+        # the ratios straddle _COND_TOL: near copies both pass and fail
+        near = ok & (kinds == "near") & np.isfinite(mats).all(axis=(1, 2))
+        assert want_ok[near].any() and not want_ok[near].all()

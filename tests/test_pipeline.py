@@ -33,10 +33,11 @@ from pairscreen import (
     stage1_screen,
     stage2_tests,
 )
+from pairscreen.glm import DesignMatrix
 from pairscreen.pipeline import ScreenResult, alpha_from_rate
 from pairscreen.report import write_report
 from test_fit_reference import halving_fits, seeded_fits
-from test_glm import cell_table, log_odds_ratio_oracle, table_code
+from test_glm import cell_table, conditioned_oracle, log_odds_ratio_oracle, table_code
 
 
 def make_dataset(rng, n=80, p=6, family=GAUSSIAN, signal=0.8):
@@ -569,6 +570,17 @@ class TestCellCounts:
             assert code == table_code(*cell_table(data.y, data.x[:, j], data.x[:, k]))
         assert np.isnan(result.t).tolist() == [bool(code) for code in result.status]
 
+    @settings(max_examples=50, deadline=None)
+    @given(data=binary_logistic_data(), block_rows=st.sampled_from([1, 2, 3]))
+    def test_chunks_of_pairs_give_the_one_pass_bits(self, data, block_rows):
+        # the count pass goes through the pairs _BLOCK_ROWS at a time
+        screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+        whole = stage2_tests(data, screen)
+        with mock.patch.object(pairscreen.pipeline, "_BLOCK_ROWS", block_rows):
+            chunked = stage2_tests(data, screen)
+        assert chunked.t.tobytes() == whole.t.tobytes()
+        assert chunked.status.tolist() == whole.status.tolist()
+
     def test_a_pair_with_a_pure_cell_is_skipped_never_rejected(self, tmp_path):
         # cells (x_j, x_k) = 00, 10, 01, 11; the (1, 1) cell holds 52 cases and
         # no controls, so the MLE does not exist: a Newton fit on the rows
@@ -707,6 +719,54 @@ class TestBatchedFits:
         assert result.status.tolist() == [code for _, code in expected]
         for got, (want, code) in zip(result.t.tolist(), expected):
             assert close_or_failed(got, want, code)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=continuous_pair_data())
+    def test_same_bits_as_the_eigenvalue_screen(self, case):
+        # the determinant certificate passes and replaces what eigvalsh alone would
+        x, y, family, adjust = case
+        data = Dataset(x=x, y=y, family=family, adjust=adjust)
+        screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+        result = stage2_tests(data, screen)
+        with mock.patch.object(pairscreen.glm, "_conditioned", conditioned_oracle):
+            expected = stage2_tests(data, screen)
+        assert result.t.tobytes() == expected.t.tobytes()
+        assert result.status.tolist() == expected.status.tolist()
+
+    @pytest.mark.parametrize("family", [LOGISTIC, GAUSSIAN])
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_well_conditioned_blocks_need_no_eigenvalues(self, family, q):
+        # N(0, 1) columns, as in the benchmark's continuous workload: the
+        # determinant certifies every Gram matrix and Hessian
+        rng = np.random.default_rng(q)
+        data = make_dataset(rng, n=300, p=10, family=family)
+        data = dataclasses.replace(data, adjust=rng.standard_normal((300, q)) if q else None)
+        screen = ScreenResult(t_stats=np.zeros(data.p), passing=tuple(range(data.p)))
+        with mock.patch.object(np.linalg, "eigvalsh", wraps=np.linalg.eigvalsh) as eig:
+            result = stage2_tests(data, screen)
+        assert eig.call_count == 0
+        assert (result.status == "").all()
+
+    def test_blocks_are_views_of_the_column_major_design(self, monkeypatch):
+        built, blocks = [], []
+        real_build, real_wald = pairscreen.pipeline.build_stage2_design, pairscreen.glm._batched_wald
+
+        def build(*args):
+            built.append(real_build(*args).values)
+            return DesignMatrix(built[-1])
+
+        def batched_wald(design, *args):
+            blocks.append(design)
+            return real_wald(design, *args)
+
+        monkeypatch.setattr(pairscreen.pipeline, "build_stage2_design", build)
+        monkeypatch.setattr(pairscreen.pipeline, "_batched_wald", batched_wald)
+        monkeypatch.setattr(pairscreen.pipeline, "_BLOCK_ROWS", 80 * 4)  # 4 pairs a block
+        data = make_dataset(np.random.default_rng(3), n=80, p=6)
+        stage2_tests(data, ScreenResult(t_stats=np.zeros(6), passing=tuple(range(6))))
+        assert len(blocks) == 4 and len(built) == 4  # 15 pairs, none handed back
+        for design, block in zip(built, blocks):
+            assert design.flags.f_contiguous and np.shares_memory(design, block)
 
     @staticmethod
     def pair_fits(monkeypatch, data):
